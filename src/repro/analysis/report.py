@@ -235,11 +235,8 @@ def render_metrics_summary(document: Dict) -> str:
         )
     lines += [
         f"simulator: {sim['events_processed']} events, {sim['parks']} parks, "
-        f"{sim['retry_rounds']} retry rounds",
-        f"wakeups ({sim.get('wakeup_policy', 'targeted')}): "
-        f"{sim.get('targeted_wakeups', 0)} targeted, "
-        f"{sim.get('broadcast_wakeups', 0)} broadcast, "
-        f"{sim.get('spurious_wakeups', 0)} spurious",
+        f"{sim.get('total_wakeups', 0)} wakeups "
+        f"({sim.get('spurious_wakeups', 0)} spurious)",
     ]
     detected = sim.get("steady_state_detected_at")
     if detected is not None:

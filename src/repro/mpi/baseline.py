@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
@@ -199,12 +200,12 @@ class _MpiSendTask:
                 inject_start, config.envelope_bytes + nbytes
             )
             payload = list(self._staged or [])
-
-            def deliver() -> None:
-                channel.deliver_data(payload, nbytes, config.envelope_bytes)
-                sim.notify()
-
-            sim.at(data_arrival, deliver)
+            sim.at(
+                data_arrival,
+                partial(
+                    channel.deliver_data, payload, nbytes, config.envelope_bytes
+                ),
+            )
             assert self.complete_async is not None
             # The sender unblocks once the payload has been injected.
             sim.at(inject_start, self.complete_async)
@@ -212,7 +213,6 @@ class _MpiSendTask:
         def rts_arrive() -> None:
             channel.deliver_rts(config.envelope_bytes)
             channel.cts_pending.append(on_cts)
-            sim.notify()
 
         sim.at(rts_arrival, rts_arrive)
         return None
@@ -226,15 +226,15 @@ class _MpiSendTask:
         nbytes = payload_nbytes(tokens, self.channel.token_bytes)
         link = self.interconnect.link(self.channel.src_pe, self.channel.dst_pe)
         _, arrival = link.reserve(now, self.config.envelope_bytes + nbytes)
-        channel = self.channel
-        sim = self.sim
-        envelope = self.config.envelope_bytes
-
-        def deliver() -> None:
-            channel.deliver_data(tokens, nbytes, envelope)
-            sim.notify()
-
-        sim.at(arrival, deliver)
+        self.sim.at(
+            arrival,
+            partial(
+                self.channel.deliver_data,
+                tokens,
+                nbytes,
+                self.config.envelope_bytes,
+            ),
+        )
 
 
 class _MpiCollectiveSendTask:
@@ -314,7 +314,6 @@ class _MpiCollectiveSendTask:
                 else list(tokens)
             )
             fifo.push(part)
-        sim = self.sim
         envelope = self.config.envelope_bytes
         for member, channel in self.branches:
             connection = member.connection
@@ -326,14 +325,9 @@ class _MpiCollectiveSendTask:
             nbytes = payload_nbytes(part, channel.token_bytes)
             link = self.interconnect.link(channel.src_pe, channel.dst_pe)
             _, arrival = link.reserve(now, envelope + nbytes)
-
-            def deliver(
-                ch=channel, payload=part, size=nbytes
-            ) -> None:
-                ch.deliver_data(payload, size, envelope)
-                sim.notify()
-
-            sim.at(arrival, deliver)
+            self.sim.at(
+                arrival, partial(channel.deliver_data, part, nbytes, envelope)
+            )
 
 
 class _MpiRecvTask:
@@ -393,12 +387,10 @@ class _MpiRecvTask:
         )
         channel = self.channel
         sim = self.sim
-
-        def cts_arrive() -> None:
-            channel.deliver_cts(self.config.envelope_bytes)
-            sim.notify()
-
-        sim.at(cts_arrival, cts_arrive)
+        sim.at(
+            cts_arrival,
+            partial(channel.deliver_cts, self.config.envelope_bytes),
+        )
 
         def data_ready() -> None:
             _, nbytes = channel.arrived_data[0]
@@ -492,12 +484,11 @@ class MpiSystem:
         self,
         iterations: int = 1,
         max_cycles: Optional[int] = None,
-        wakeups: str = "targeted",
         check_lost_wakeups: bool = False,
     ) -> RunResult:
         if iterations < 1:
             raise GraphError("iterations must be >= 1")
-        sim = Simulator(wakeups=wakeups, check_lost_wakeups=check_lost_wakeups)
+        sim = Simulator(check_lost_wakeups=check_lost_wakeups)
         interconnect = Interconnect(default_spec=self.config.link_spec)
         graph = self.insertion.graph
 
@@ -575,38 +566,21 @@ class MpiSystem:
                     self.config,
                 )
             else:
-                # A port may own several member fifos (gather/reduce
-                # sinks, all-local broadcast sources) — accumulate lists.
-                inputs: Dict[str, List[LocalFifo]] = {}
-                for e in graph.in_edges(actor):
-                    if e.edge_id in fifos:
-                        inputs.setdefault(e.sink.name, []).append(
-                            fifos[e.edge_id]
-                        )
-                outputs: Dict[str, List[LocalFifo]] = {}
-                for e in graph.out_edges(actor):
-                    if e.edge_id in fifos:
-                        outputs.setdefault(e.source.name, []).append(
-                            fifos[e.edge_id]
-                        )
-                task = ComputationTask(actor, inputs, outputs)
+                task = ComputationTask.in_graph(actor, graph, fifos)
             tasks[actor.name] = task
             return task
 
         pes: List[ProcessingElement] = []
         sequencers: List[PESequencer] = []
+        script = self.schedule.firing_script()
         for pe_index in range(self.partition.n_pes):
-            order = self.schedule.orders.get(pe_index, [])
-            if not order:
+            entries = script.get(pe_index, [])
+            if not entries:
                 continue
             pe = ProcessingElement(pe_index)
-            program = []
-            for task_name in order:
-                origin = (
-                    self.schedule.task_graph.get_actor(task_name)
-                    .params.get("origin", task_name)
-                )
-                program.append(task_for(graph.get_actor(origin)))
+            program = [
+                task_for(graph.get_actor(origin)) for _, origin in entries
+            ]
             sequencer = PESequencer(sim, pe, program, iterations)
             pes.append(pe)
             sequencers.append(sequencer)

@@ -18,7 +18,6 @@ from repro.platform.memory import (
     BufferOverflowError,
     BufferUnderflowError,
 )
-from repro.platform.compiled import CalendarQueue, CompiledFiring, CompiledStats
 from repro.platform.pe import GPP, PEClass, ProcessingElement
 from repro.platform.simulator import (
     LostWakeupError,
@@ -39,9 +38,6 @@ from repro.platform.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "AttrMeter",
-    "CalendarQueue",
-    "CompiledFiring",
-    "CompiledStats",
     "MapMeter",
     "ObjectMapMeter",
     "SteadyStateReport",

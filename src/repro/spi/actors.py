@@ -13,9 +13,10 @@ same-PE edges.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Deque, Dict, List, Optional, Sequence
 
-from repro.dataflow.graph import Actor, Edge
+from repro.dataflow.graph import Actor, DataflowGraph, Edge
 from repro.dataflow.vts import PackedToken
 from repro.platform.interconnect import Interconnect
 from repro.platform.pe import GPP, PEClass, ProcessingElement
@@ -34,7 +35,6 @@ __all__ = [
     "SyncTokenPool",
     "SyncedTask",
     "normalize_port_fifos",
-    "assemble_port_tokens",
     "payload_nbytes",
     "INIT_CYCLES",
 ]
@@ -74,9 +74,10 @@ class _BatchedTaskMixin:
     ``batch_counts`` is the per-macro-pass firing count list of a
     :class:`BatchSchedule` (``None`` means classic one-firing-at-a-time
     execution); ``pe_class`` prices each dispatch; ``pe`` receives the
-    batching counters.  Each task advances its private pass cursor once
-    per execution — all tasks of a program run in lockstep, so the
-    cursor always names the current macro-pass.
+    batching counters.  Each task advances its private pass cursor
+    after its last occurrence in a program pass (``occurrences``
+    executions) — all tasks of a program run in lockstep, so the cursor
+    always names the current macro-pass.
     """
 
     def _init_batch(
@@ -179,35 +180,24 @@ def normalize_port_fifos(fifos: Dict[str, object]) -> Dict[str, List[LocalFifo]]
     return normalized
 
 
-def assemble_port_tokens(port_name: str, popped: List[tuple]) -> List:
-    """Combine per-branch pops ``[(edge, values), ...]`` for one input port."""
-    if len(popped) == 1 and (
-        popped[0][0].connection is None
-        or popped[0][0].connection.kind != "reduce"
-    ):
-        return popped[0][1]
-    connection = popped[0][0].connection
-    if connection is None:
-        raise RuntimeError(
-            f"port {port_name!r} has {len(popped)} in-edges but no "
-            f"owning connection"
-        )
-    return connection.assemble([values for _, values in popped])
-
-
 class ComputationTask(_BatchedTaskMixin):
     """One dispatch of a dataflow computation actor on its PE.
 
     Inputs and outputs map port names to :class:`LocalFifo` objects (or
     branch-ordered lists of them, for ports shared by a collective
     connection): SPI insertion guarantees that computation actors only
-    ever touch same-PE edges.
+    ever touch same-PE edges.  The port tables are flattened once at
+    construction into ``(fifo, rate)`` wait chains, and an actor with a
+    static integer cycle count skips the cycle-model dispatch — the
+    guard check that runs on every park/wake round is two tuple walks.
 
     Classic execution runs one firing per dispatch.  Under a batched
     (blocked) schedule the dispatch covers the macro-pass burst: it
     consumes ``burst * rate`` tokens atomically, runs every sub-firing
     of the burst in logical firing order (bit-identical token streams),
-    and its duration is the PE class's amortized dispatch cost.
+    and its duration is the PE class's amortized dispatch cost.  The
+    same task class fires computation actors under SPI and under the
+    MPI baseline.
     """
 
     def __init__(
@@ -225,76 +215,140 @@ class ComputationTask(_BatchedTaskMixin):
         self.outputs = normalize_port_fifos(outputs)
         self.firing_index = 0
         self._init_batch(batch_counts, pe_class, pe)
-        self._staged: Optional[List[Dict[str, List]]] = None
+        #: (port name, ((fifo, rate), ...) branches, connection) per
+        #: connected input, in port order; branches in branch_index order
+        self._needs = tuple(
+            (
+                port.name,
+                tuple(
+                    (fifo, fifo.edge.cons_rate)
+                    for fifo in self.inputs[port.name]
+                ),
+                self.inputs[port.name][0].edge.connection,
+            )
+            for port in actor.input_ports
+            if port.name in self.inputs
+        )
+        #: (port name, ((fifo, connection), ...)) per connected output, in
+        #: port order
+        self._emits = tuple(
+            (
+                port.name,
+                tuple(
+                    (fifo, fifo.edge.connection)
+                    for fifo in self.outputs[port.name]
+                ),
+            )
+            for port in actor.output_ports
+            if port.name in self.outputs
+        )
+        cycles = actor.cycles
+        self._static_cycles = (
+            cycles if isinstance(cycles, int) and cycles >= 0 else None
+        )
+        self._staged = None
+
+    @classmethod
+    def in_graph(
+        cls,
+        actor: Actor,
+        graph: DataflowGraph,
+        fifos: Dict[int, LocalFifo],
+        **kwargs,
+    ) -> "ComputationTask":
+        """The task of ``actor`` wired to its local fifos (by edge id).
+
+        A port may own several member fifos (gather/reduce sinks,
+        all-local broadcast sources), so ports map to fifo lists.
+        """
+        inputs: Dict[str, List[LocalFifo]] = {}
+        for edge in graph.in_edges(actor):
+            if edge.edge_id in fifos:
+                inputs.setdefault(edge.sink.name, []).append(fifos[edge.edge_id])
+        outputs: Dict[str, List[LocalFifo]] = {}
+        for edge in graph.out_edges(actor):
+            if edge.edge_id in fifos:
+                outputs.setdefault(edge.source.name, []).append(
+                    fifos[edge.edge_id]
+                )
+        return cls(actor, inputs, outputs, **kwargs)
 
     def ready(self, now: int) -> bool:
         burst = self.burst
-        return all(
-            len(fifo) >= burst * fifo.edge.cons_rate
-            for branch in self.inputs.values()
-            for fifo in branch
-        )
+        for _, branches, _ in self._needs:
+            for fifo, rate in branches:
+                if len(fifo.tokens) < burst * rate:
+                    return False
+        return True
+
+    def _starved(self) -> List[tuple]:
+        """``(fifo, tokens needed)`` for every input blocking the guard."""
+        burst = self.burst
+        return [
+            (fifo, burst * rate)
+            for _, branches, _ in self._needs
+            for fifo, rate in branches
+            if len(fifo.tokens) < burst * rate
+        ]
 
     def blocked_reason(self, now: int) -> Optional[str]:
         """Why this firing cannot start (None when it can)."""
-        burst = self.burst
-        starved = []
-        for branch in self.inputs.values():
-            for fifo in branch:
-                need = burst * fifo.edge.cons_rate
-                if len(fifo) < need:
-                    starved.append(
-                        f"{fifo.edge.name!r} (has {len(fifo)}, needs {need})"
-                    )
-        if starved:
-            return "starved on " + ", ".join(starved)
-        return None
+        starved = self._starved()
+        if not starved:
+            return None
+        return "starved on " + ", ".join(
+            f"{fifo.edge.name!r} (has {len(fifo.tokens)}, needs {need})"
+            for fifo, need in starved
+        )
 
     def wait_on(self, now: int) -> List[Waitset]:
         """Waitsets of the resources currently blocking the guard."""
-        burst = self.burst
-        return [
-            fifo.waitset
-            for branch in self.inputs.values()
-            for fifo in branch
-            if len(fifo) < burst * fifo.edge.cons_rate
-        ]
+        return [fifo.waitset for fifo, _ in self._starved()]
+
+    def _pop_one(self) -> Dict[str, List]:
+        consumed: Dict[str, List] = {}
+        for port_name, branches, connection in self._needs:
+            if len(branches) == 1 and (
+                connection is None or connection.kind != "reduce"
+            ):
+                fifo, rate = branches[0]
+                consumed[port_name] = fifo.pop(rate)
+            else:
+                consumed[port_name] = connection.assemble(
+                    [fifo.pop(rate) for fifo, rate in branches]
+                )
+        return consumed
+
+    def _cycles(self, firing_index: int, consumed: Dict[str, List]) -> int:
+        if self._static_cycles is not None:
+            return self._static_cycles
+        return self.actor.execution_cycles(firing_index, consumed)
 
     def start(self, now: int) -> int:
-        burst = self.burst
         staged: List[Dict[str, List]] = []
         native: List[int] = []
-        for i in range(burst):
-            consumed: Dict[str, List] = {}
-            for port_name, branch in self.inputs.items():
-                popped = [
-                    (fifo.edge, fifo.pop(fifo.edge.cons_rate))
-                    for fifo in branch
-                ]
-                consumed[port_name] = assemble_port_tokens(port_name, popped)
+        for i in range(self.burst):
+            consumed = self._pop_one()
             staged.append(consumed)
-            native.append(
-                self.actor.execution_cycles(self.firing_index + i, consumed)
-            )
+            native.append(self._cycles(self.firing_index + i, consumed))
         self._staged = staged
         return self._charge(native)
 
+    def _fire_one(self, consumed: Dict[str, List]) -> None:
+        produced = self.actor.fire(self.firing_index, consumed)
+        for port_name, branches in self._emits:
+            values = produced[port_name]
+            for fifo, connection in branches:
+                if connection is None:
+                    fifo.push(list(values))
+                else:
+                    fifo.push(connection.produced_tokens(fifo.edge, values))
+        self.firing_index += 1
+
     def finish(self, now: int) -> None:
-        assert self._staged is not None
-        for consumed in self._staged:
-            produced = self.actor.fire(self.firing_index, consumed)
-            for port_name, branch in self.outputs.items():
-                values = produced[port_name]
-                for fifo in branch:
-                    connection = fifo.edge.connection
-                    if connection is not None:
-                        fifo.push(
-                            connection.produced_tokens(fifo.edge, values)
-                        )
-                    else:
-                        fifo.push(list(values))
-            self.firing_index += 1
-        self._staged = None
+        staged, self._staged = self._staged, None
+        for consumed in staged:
+            self._fire_one(consumed)
         self._advance_pass()
 
 
@@ -429,12 +483,7 @@ class SpiSendTask(_BatchedTaskMixin):
             payload_bytes=nbytes,
             dynamic=self.channel.dynamic,
         )
-        channel = self.channel
-
-        def deliver() -> None:
-            channel.deliver(message)
-            self.sim.notify()
-
+        deliver = partial(self.channel.deliver, message)
         if self.transport is not None:
             self.transport.send(
                 channel_key=self.channel.edge.name,
@@ -596,7 +645,6 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
             fifo.push(connection.produced_tokens(fifo.edge, tokens))
         if not self.branches:
             return
-        sim = self.sim
         parts = []
         for edge, channel in self.branches:
             payload = connection.produced_tokens(edge, tokens)
@@ -607,17 +655,12 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
                 payload_bytes=nbytes,
                 dynamic=channel.dynamic,
             )
-
-            def deliver(channel=channel, message=message) -> None:
-                channel.deliver(message)
-                sim.notify()
-
             parts.append(
                 (
                     channel.edge.name,
                     channel.dst_pe,
                     message.wire_bytes,
-                    deliver,
+                    partial(channel.deliver, message),
                 )
             )
         if self.transport is not None:
@@ -775,11 +818,9 @@ class SyncedTask:
             waitsets.extend(
                 pool.waitset for pool in self.guards if pool.tokens <= 0
             )
-        inner_wait = getattr(self.inner, "wait_on", None)
-        if inner_wait is not None:
-            # the inner hook names only currently-blocking resources,
-            # so it contributes nothing when the inner guard holds
-            waitsets.extend(inner_wait(now))
+        # the inner hook names only currently-blocking resources, so it
+        # contributes nothing when the inner guard holds
+        waitsets.extend(self.inner.wait_on(now))
         return waitsets
 
     def start(self, now: int):
@@ -805,14 +846,8 @@ class SyncedTask:
                         started=start,
                         arrived=arrival,
                     )
-                sim = self.sim
-
-                def deliver(pool=pool) -> None:
-                    pool.deposit()
-                    sim.notify()
-
                 self.sim.schedule_delivery(
-                    arrival, deliver, ("resync", pool.name)
+                    arrival, pool.deposit, ("resync", pool.name)
                 )
         self._count += 1
 
@@ -914,12 +949,8 @@ class SpiReceiveTask(_BatchedTaskMixin):
                     started=start,
                     arrived=arrival,
                 )
-            channel = self.channel
-
-            def deliver_ack() -> None:
-                channel.deliver(ack)
-                self.sim.notify()
-
             self.sim.schedule_delivery(
-                arrival, deliver_ack, ("ack", self.channel.edge.name)
+                arrival,
+                partial(self.channel.deliver, ack),
+                ("ack", self.channel.edge.name),
             )

@@ -161,8 +161,9 @@ class RunResult:
     #: (:class:`repro.platform.steady_state.SteadyStateReport`; None
     #: when detection was not armed for this run)
     steady_state: Optional[object] = None
-    #: firings executed through the compiled fast-lane
-    #: (:class:`repro.platform.compiled.CompiledFiring` tasks)
+    #: computation-actor firings simulated through
+    #: :class:`repro.spi.actors.ComputationTask` (extrapolated
+    #: iterations excluded)
     compiled_firings: int = 0
     #: wire transfers performed by collective (broadcast/scatter)
     #: connections — one per physical link use, not per consumer
@@ -563,11 +564,8 @@ class SpiSystem:
         max_cycles: Optional[int] = None,
         trace: bool = False,
         metrics: bool = False,
-        wakeups: str = "targeted",
         check_lost_wakeups: bool = False,
         steady_state: str = "off",
-        compiled: Optional[bool] = None,
-        queue: str = "heap",
     ) -> RunResult:
         """Simulate ``iterations`` graph iterations; returns the metrics.
 
@@ -580,9 +578,6 @@ class SpiSystem:
         inter-PE message — the inputs of the Chrome-trace and metrics
         exporters in :mod:`repro.observability`.
 
-        ``wakeups`` selects the kernel's parking discipline
-        (``"targeted"`` per-resource waitsets, ``"broadcast"`` the
-        legacy retry sweep — kept for A/B benchmarking), and
         ``check_lost_wakeups=True`` arms the kernel's lost-wakeup audit
         (used by the conformance oracles).
 
@@ -601,14 +596,6 @@ class SpiSystem:
         interpreted run.  Kernel-effort counters (events, parks,
         wakeups) and the message log cover only the actually-simulated
         prefix and tail.
-
-        ``compiled`` selects the computation-task implementation:
-        ``None``/``True`` uses the pre-resolved
-        :class:`~repro.platform.compiled.CompiledFiring` fast-lane
-        (semantically identical), ``False`` the interpreted
-        :class:`~repro.spi.actors.ComputationTask` (kept for A/B).
-        ``queue`` selects the kernel event queue (``"heap"`` or
-        ``"calendar"``).
         """
         if iterations < 1:
             raise GraphError("iterations must be >= 1")
@@ -642,17 +629,12 @@ class SpiSystem:
                 and iterations >= 3
                 and not self.steady_state_opaque_actors()
             )
-        use_compiled = compiled if compiled is not None else True
         hub = None
         if metrics:
             from repro.observability import ObservabilityHub
 
             hub = ObservabilityHub()
-        sim = Simulator(
-            wakeups=wakeups,
-            check_lost_wakeups=check_lost_wakeups,
-            queue=queue,
-        )
+        sim = Simulator(check_lost_wakeups=check_lost_wakeups)
         recorder = TraceRecorder() if trace else None
         interconnect = Interconnect(default_spec=self.config.link_spec)
         transport = self._build_transport(sim, interconnect, observer=hub)
@@ -708,11 +690,7 @@ class SpiSystem:
         }
 
         tasks_by_actor: Dict[str, object] = {}
-        compiled_stats = None
-        if use_compiled:
-            from repro.platform.compiled import CompiledFiring, CompiledStats
-
-            compiled_stats = CompiledStats()
+        computations: List[ComputationTask] = []
 
         # Blocked-schedule plumbing: every task on every PE runs the
         # same per-macro-pass burst counts (lockstep), and the PE
@@ -791,32 +769,10 @@ class SpiSystem:
                     **batch_kwargs,
                 )
             else:
-                # A port may own several member fifos (gather/reduce
-                # sinks, all-local broadcast sources) — accumulate lists.
-                inputs: Dict[str, List[LocalFifo]] = {}
-                for e in graph.in_edges(actor):
-                    if e.edge_id in fifos:
-                        inputs.setdefault(e.sink.name, []).append(
-                            fifos[e.edge_id]
-                        )
-                outputs: Dict[str, List[LocalFifo]] = {}
-                for e in graph.out_edges(actor):
-                    if e.edge_id in fifos:
-                        outputs.setdefault(e.source.name, []).append(
-                            fifos[e.edge_id]
-                        )
-                if compiled_stats is not None:
-                    task = CompiledFiring(
-                        actor,
-                        inputs,
-                        outputs,
-                        stats=compiled_stats,
-                        **batch_kwargs,
-                    )
-                else:
-                    task = ComputationTask(
-                        actor, inputs, outputs, **batch_kwargs
-                    )
+                task = ComputationTask.in_graph(
+                    actor, graph, fifos, **batch_kwargs
+                )
+                computations.append(task)
             tasks_by_actor[actor.name] = task
             return task
 
@@ -969,11 +925,7 @@ class SpiSystem:
             * sum(p.messages_sent for p in sync_pools),
             trace=recorder,
             steady_state=steady_report,
-            compiled_firings=(
-                compiled_stats.compiled_firings
-                if compiled_stats is not None
-                else 0
-            ),
+            compiled_firings=sum(t.firing_index for t in computations),
             collective_messages=getattr(transport, "collective_messages", 0),
             fan_out_deliveries=getattr(transport, "fan_out_deliveries", 0),
             wire_bytes_saved=getattr(transport, "wire_bytes_saved", 0),
@@ -1062,7 +1014,6 @@ class SpiSystem:
                     if s._running and s._busy_until is not None
                     else -1,
                     s.parked,
-                    s.parked_targeted,
                     s.wake_pending,
                     (now - s._blocked_since)
                     if s._blocked_since is not None
@@ -1102,12 +1053,7 @@ class SpiSystem:
             )
 
         def kernel_state(now: int):
-            return (
-                len(sim._wake_queue),
-                sim._wake_scheduled,
-                sim._retry_scheduled,
-                len(sim._parked),
-            )
+            return (len(sim._wake_queue), sim._wake_scheduled)
 
         probes = [
             sequencer_state,

@@ -92,3 +92,56 @@ class TestPfComparison:
             spi.spi_library_resources().slices
             < mpi.library_resources().slices
         )
+
+
+class TestAblationFairness:
+    """SPI and MPI differ only in the communication layer: computation
+    actors fire through the very same task class under both."""
+
+    @staticmethod
+    def _programs(monkeypatch, module):
+        programs = []
+
+        class Recording(module.PESequencer):
+            def __init__(self, sim, pe, program, *args, **kwargs):
+                super().__init__(sim, pe, program, *args, **kwargs)
+                programs.append(self.program)
+
+        monkeypatch.setattr(module, "PESequencer", Recording)
+        return programs
+
+    @staticmethod
+    def _computation_tasks(programs):
+        tasks = {}
+        for program in programs:
+            for task in program:
+                while hasattr(task, "inner"):  # resynchronization wrapper
+                    task = task.inner
+                if task.name.startswith("fire:"):
+                    tasks[task.name] = task
+        return tasks
+
+    def test_same_firing_task_class(self, speech_frames, monkeypatch):
+        from repro.mpi import baseline as mpi_baseline
+        from repro.spi import ComputationTask
+        from repro.spi import runtime as spi_runtime
+
+        spi_programs = self._programs(monkeypatch, spi_runtime)
+        mpi_programs = self._programs(monkeypatch, mpi_baseline)
+        system = build_parallel_error_graph(speech_frames, order=8, n_units=2)
+        spi = SpiSystem.compile(system.graph, system.partition).run(
+            iterations=2
+        )
+        system2 = build_parallel_error_graph(speech_frames, order=8, n_units=2)
+        MpiSystem.compile(system2.graph, system2.partition).run(iterations=2)
+
+        spi_tasks = self._computation_tasks(spi_programs)
+        mpi_tasks = self._computation_tasks(mpi_programs)
+        assert spi_tasks and set(spi_tasks) == set(mpi_tasks)
+        classes = {type(t) for t in spi_tasks.values()}
+        classes |= {type(t) for t in mpi_tasks.values()}
+        assert classes == {ComputationTask}
+        # every SPI computation firing is counted, none extrapolated here
+        assert spi.compiled_firings == sum(
+            t.firing_index for t in spi_tasks.values()
+        )

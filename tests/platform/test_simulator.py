@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel and PE sequencers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,19 +14,28 @@ from repro.platform import (
     Simulator,
     Waitset,
 )
+from tests.polling_kernel import PollingSimulator
 
 
 class StubTask:
-    """Configurable task: guard flag, fixed duration, completion log."""
+    """Configurable task: guard flag, fixed duration, completion log.
+
+    A gated task waits on ``self.waitset``; whoever opens the gate must
+    wake it.
+    """
 
     def __init__(self, name, duration=5, gate=None):
         self.name = name
         self.duration = duration
         self.gate = gate  # None = always ready, else a mutable [bool]
+        self.waitset = Waitset(f"gate:{name}")
         self.finishes = []
 
     def ready(self, now):
         return True if self.gate is None else self.gate[0]
+
+    def wait_on(self, now):
+        return [self.waitset]
 
     def start(self, now):
         return self.duration
@@ -64,6 +75,47 @@ class TestSimulator:
         final = sim.run()
         assert log == ["a", "b", "c"]
         assert final == 10
+
+    def test_simultaneous_events_run_in_scheduling_order(self):
+        """Equal timestamps: the event scheduled first runs first, also
+        for events scheduled from inside an event at the same time."""
+        sim = Simulator()
+        log = []
+        for label in "edcba":
+            sim.at(7, lambda label=label: log.append(label))
+
+        def spawn():
+            log.append("spawn")
+            sim.at(7, lambda: log.append("child"))
+
+        sim.at(7, spawn)
+        sim.at(3, lambda: log.append("early"))
+        sim.run()
+        assert log == ["early", "e", "d", "c", "b", "a", "spawn", "child"]
+
+    def test_random_schedule_pops_in_time_then_fifo_order(self):
+        """Against a sorted reference: events fire by (time, scheduling
+        order), including events scheduled while the run is draining."""
+        rng = random.Random(11)
+        sim = Simulator()
+        fired = []
+        scheduled = []
+
+        def event(tag):
+            fired.append(tag)
+            if rng.random() < 0.4:
+                child_time = sim.now + rng.randrange(0, 30)
+                child = (child_time, len(scheduled))
+                scheduled.append(child)
+                sim.at(child_time, lambda: event(child))
+
+        for _ in range(300):
+            tag = (rng.randrange(0, 200), len(scheduled))
+            scheduled.append(tag)
+            sim.at(tag[0], lambda tag=tag: event(tag))
+        sim.run()
+        assert fired == sorted(scheduled)
+        assert sim.events_processed == len(scheduled)
 
     def test_cannot_schedule_in_past(self):
         sim = Simulator()
@@ -170,7 +222,7 @@ class TestPESequencer:
         assert "PE1" in message
         assert "A.o->B.i" in message  # the channel it is blocked on
 
-    def test_notify_unblocks(self):
+    def test_waitset_wake_unblocks(self):
         sim = Simulator()
         pe = ProcessingElement(0)
         gate = [False]
@@ -180,7 +232,7 @@ class TestPESequencer:
 
         def open_gate():
             gate[0] = True
-            sim.notify()
+            blocked.waitset.wake()
 
         sim.at(20, open_gate)
         sim.run()
@@ -233,7 +285,6 @@ class Resource:
         self.tokens += 1
         if wake:
             self.waitset.wake()
-        self.sim.notify()
 
 
 class WaitingTask(StubTask):
@@ -254,15 +305,22 @@ class WaitingTask(StubTask):
         return self.duration
 
 
-class BroadcastTask(WaitingTask):
-    """Same consumer without the wait_on hook: broadcast fallback."""
+class NoWaitsetTask:
+    """A guarded task that names no waitset: it could never be woken."""
 
-    wait_on = None
+    def __init__(self, name, resource):
+        self.name = name
+        self.resource = resource
 
-    def __getattribute__(self, name):
-        if name == "wait_on":
-            raise AttributeError("wait_on")
-        return object.__getattribute__(self, name)
+    def ready(self, now):
+        return self.resource.tokens > 0
+
+    def start(self, now):
+        self.resource.tokens -= 1
+        return 1
+
+    def finish(self, now):
+        pass
 
 
 class TestWaitsets:
@@ -274,10 +332,6 @@ class TestWaitsets:
         seq.begin()
         return task, seq
 
-    def test_wakeup_discipline_validated(self):
-        with pytest.raises(ValueError, match="wakeup"):
-            Simulator(wakeups="bogus")
-
     def test_targeted_wakeup_counters(self):
         sim = Simulator()
         resource = Resource(sim)
@@ -287,34 +341,36 @@ class TestWaitsets:
         assert task.finishes == [12]
         assert sim.parks == 1
         assert sim.targeted_wakeups == 1
-        assert sim.broadcast_wakeups == 0
         assert sim.spurious_wakeups == 0
         assert sim.total_wakeups == 1
-        assert sim.retry_rounds == 0
         assert resource.waitset.wakes == 1
 
-    def test_broadcast_fallback_for_plain_tasks(self):
+    def test_task_without_wait_on_fails_at_park_time(self):
+        """A blocked task with no ``wait_on`` raises the moment it
+        parks, naming its PE and task — not a SimulationDeadlock at the
+        end of the run."""
         sim = Simulator()
         resource = Resource(sim)
-        task, _ = self._consumer(sim, resource, cls=BroadcastTask)
+        self._consumer(sim, resource, cls=NoWaitsetTask, idx=2)
         sim.at(10, resource.deposit)
-        sim.run()
-        assert task.finishes == [12]
-        assert sim.targeted_wakeups == 0
-        assert sim.broadcast_wakeups >= 1
-        assert sim.retry_rounds >= 1
+        with pytest.raises(RuntimeError, match="names no waitset") as info:
+            sim.run()
+        assert not isinstance(info.value, SimulationDeadlock)
+        assert "PE2" in str(info.value)
+        assert "'consume2'" in str(info.value)
+        assert sim.now == 0  # raised at the first park, not at t=10
 
-    def test_forced_broadcast_discipline(self):
-        """wakeups="broadcast" parks even wait_on tasks on the retry
-        sweep — the pre-waitset kernel, kept for A/B benchmarking."""
-        sim = Simulator(wakeups="broadcast")
-        resource = Resource(sim)
-        task, _ = self._consumer(sim, resource)
-        sim.at(10, resource.deposit)
-        sim.run()
-        assert task.finishes == [12]
-        assert sim.targeted_wakeups == 0
-        assert sim.broadcast_wakeups >= 1
+    def test_empty_wait_on_fails_at_park_time(self):
+        """Naming an empty waitset list is the same mistake."""
+
+        class EmptyWaitTask(WaitingTask):
+            def wait_on(self, now):
+                return []
+
+        sim = Simulator()
+        self._consumer(sim, Resource(sim), cls=EmptyWaitTask)
+        with pytest.raises(RuntimeError, match="'consume0'.*no waitset"):
+            sim.run()
 
     def test_spurious_wakeup_counted(self):
         """Two consumers on one waitset, one token: the loser re-parks
@@ -369,13 +425,13 @@ class TestWaitsets:
 
     def test_park_is_idempotent(self):
         sim = Simulator()
-        seq = PESequencer(
-            sim, ProcessingElement(0), [StubTask("t")], iterations=1
-        )
-        sim.park(seq)
-        sim.park(seq)
+        task = StubTask("t", gate=[False])
+        seq = PESequencer(sim, ProcessingElement(0), [task], iterations=1)
+        sim.park(seq, [task.waitset])
+        sim.park(seq, [task.waitset])
         assert sim.parks == 1
         assert sim._parked.count(seq) == 1
+        assert len(task.waitset) == 1
 
     def test_lost_wakeup_detected_at_deadlock(self):
         """A resource mutated without wake(): the drained heap finds the
@@ -385,7 +441,7 @@ class TestWaitsets:
         self._consumer(sim, resource)
 
         def silent_deposit():
-            resource.tokens += 1  # no wake, no notify
+            resource.tokens += 1  # no wake
 
         sim.at(5, silent_deposit)
         with pytest.raises(LostWakeupError, match="lost wakeup"):
@@ -436,16 +492,14 @@ class TestProcessingElementReset:
 class TestNoLostWakeupProperty:
     """Property: under random deposit/consume interleavings the targeted
     kernel (with its lost-wakeup audit armed) never strands a sequencer,
-    and delivers the exact schedule of the broadcast kernel."""
+    and delivers the exact schedule of the polling reference kernel."""
 
     @staticmethod
-    def _build(wakeups, plan, check=False):
-        sim = Simulator(wakeups=wakeups, check_lost_wakeups=check)
+    def _build(sim, plan):
         tasks = []
-        for idx, (targeted, duration, deposits) in enumerate(plan):
+        for idx, (duration, deposits) in enumerate(plan):
             resource = Resource(sim, f"r{idx}")
-            cls = WaitingTask if targeted else BroadcastTask
-            task = cls(f"c{idx}", resource, duration=duration)
+            task = WaitingTask(f"c{idx}", resource, duration=duration)
             seq = PESequencer(
                 sim,
                 ProcessingElement(idx),
@@ -456,12 +510,11 @@ class TestNoLostWakeupProperty:
             tasks.append((task, seq))
             for t in deposits:
                 sim.at(t, resource.deposit)
-        return sim, tasks
+        return tasks
 
     @given(
         plan=st.lists(
             st.tuples(
-                st.booleans(),                        # wait_on hook?
                 st.integers(0, 4),                    # task duration
                 st.lists(                             # deposit times
                     st.integers(0, 40), min_size=1, max_size=5
@@ -473,16 +526,17 @@ class TestNoLostWakeupProperty:
     )
     @settings(max_examples=60, deadline=None)
     def test_random_interleavings(self, plan):
-        sim, tasks = self._build("targeted", plan, check=True)
+        sim = Simulator(check_lost_wakeups=True)
+        tasks = self._build(sim, plan)
         final = sim.run()
         for task, seq in tasks:
             assert seq.done
             assert len(task.finishes) == seq.iterations
-        assert sim.total_wakeups == sim.targeted_wakeups + sim.broadcast_wakeups
         assert sim.spurious_wakeups <= sim.total_wakeups
 
-        # the broadcast kernel must produce the identical schedule
-        ref_sim, ref_tasks = self._build("broadcast", plan)
+        # the polling kernel must produce the identical schedule
+        ref_sim = PollingSimulator()
+        ref_tasks = self._build(ref_sim, plan)
         ref_final = ref_sim.run()
         assert ref_final == final
         for (task, _), (ref_task, _) in zip(tasks, ref_tasks):
