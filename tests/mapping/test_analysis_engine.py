@@ -5,8 +5,10 @@ the legacy Lawler solver and the self-timed simulation, exactness on the
 deadlock / acyclic / parallel-edge / self-loop corners, the incremental
 all-pairs min-delay oracle against full recomputation, the memoized
 ``min_delay_paths`` invalidation rules, deterministic topological
-ordering, the closed-form HSDF expansion, incremental resynchronization,
-and the branch-and-bound exhaustive partitioner.
+ordering, the closed-form HSDF expansion, incremental resynchronization
+(its screened addition search against the unscreened one, on random
+and on real compile traffic), and the branch-and-bound exhaustive
+partitioner.
 """
 
 import math
@@ -14,6 +16,13 @@ import random
 
 import pytest
 
+import repro.spi.runtime as runtime
+from repro.apps.lpc import build_parallel_error_graph, frame_stream
+from repro.apps.particle_filter import (
+    CrackGrowthModel,
+    build_particle_filter_graph,
+    simulate_crack_history,
+)
 from repro.conformance.generator import GraphShape, generate_spec
 from repro.conformance.spec import build_case
 from repro.dataflow import DataflowGraph
@@ -362,8 +371,78 @@ def _random_sync_graph(rng, trial):
     return graph
 
 
+def _random_selftimed_sync_graph(rng, trial):
+    """A sync graph shaped like a self-timed schedule's: every PE runs
+    its tasks in a zero-delay chain closed by a unit-delay wrap-around,
+    and random cross-PE sync/ack edges join the chains.  The chains give
+    a new edge paths to make several others redundant, so the addition
+    search adopts edges far more often than on :func:`_random_sync_graph`."""
+    graph = SynchronizationGraph(f"selftimed{trial}")
+    n = rng.randint(4, 10)
+    chains = {}
+    for i in range(n):
+        pe = rng.randrange(rng.randint(2, 3))
+        graph.add_vertex(TimedVertex(f"v{i}", cycles=rng.randint(1, 6), pe=pe))
+        chains.setdefault(pe, []).append(f"v{i}")
+    for names in chains.values():
+        for a, b in zip(names, names[1:]):
+            graph.add_edge(TimedEdge(a, b, delay=0, kind=EdgeKind.INTRA))
+        graph.add_edge(
+            TimedEdge(names[-1], names[0], delay=1, kind=EdgeKind.INTRA)
+        )
+    for _ in range(rng.randint(2, 14)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        graph.add_edge(
+            TimedEdge(
+                f"v{a}",
+                f"v{b}",
+                delay=rng.randint(0 if a < b else 1, 2),
+                kind=rng.choice([EdgeKind.SYNC, EdgeKind.ACK]),
+            )
+        )
+    return graph
+
+
 def _edge_key(edge):
     return (edge.src, edge.snk, edge.delay, edge.kind)
+
+
+def _resync_summary(result):
+    return (
+        list(map(_edge_key, result.removed)),
+        list(map(_edge_key, result.added)),
+        list(map(_edge_key, result.graph.edges)),
+        result.cost_before,
+        result.cost_after,
+        result.mcm_before,
+        result.mcm_after,
+    )
+
+
+def _assert_screened_matches_oracle(graph):
+    """The screened search against the unscreened ``incremental=False``
+    oracle: same removals, additions, final edge list, costs and MCMs.
+    Returns whether the search added an edge."""
+    fast = resynchronize(graph, incremental=True)
+    slow = resynchronize(graph, incremental=False)
+    assert _resync_summary(fast) == _resync_summary(slow), graph.name
+    return bool(fast.added)
+
+
+def _captured_sync_graphs(monkeypatch, systems):
+    """The sync graphs ``SpiSystem.compile`` hands to ``resynchronize``
+    (acks included) for each ``(graph, partition)``."""
+    captured = []
+    real = runtime.resynchronize
+
+    def capture(sync_graph):
+        captured.append(sync_graph.copy())
+        return real(sync_graph)
+
+    monkeypatch.setattr(runtime, "resynchronize", capture)
+    for graph, partition in systems:
+        SpiSystem.compile(graph, partition)
+    return captured
 
 
 class TestIncrementalResynchronization:
@@ -386,18 +465,42 @@ class TestIncrementalResynchronization:
 
     def test_full_resynchronize_identical_to_legacy(self):
         rng = random.Random(23)
-        for trial in range(12):
-            graph = _random_sync_graph(rng, trial)
-            fast = resynchronize(graph, incremental=True)
-            slow = resynchronize(graph, incremental=False)
-            assert list(map(_edge_key, fast.graph.edges)) == list(
-                map(_edge_key, slow.graph.edges)
+        graphs = [_random_sync_graph(rng, trial) for trial in range(12)]
+        graphs += [
+            _random_selftimed_sync_graph(rng, trial) for trial in range(40)
+        ]
+        additions = sum(map(_assert_screened_matches_oracle, graphs))
+        # 10 of the 52 graphs add an edge: the search really runs
+        assert additions >= 8
+
+    def test_screen_identical_to_oracle_on_real_traffic(self, monkeypatch):
+        """Sync graphs from the fig. 6 / fig. 7 n = 2 points (where the
+        addition search runs on every compile) and from 100 conformance
+        seeds under the default and the collective shape."""
+        model = CrackGrowthModel()
+        observations = simulate_crack_history(model, steps=6, seed=1)[1]
+        systems = []
+        for size in (128, 192, 256, 384, 512, 640):
+            frames = frame_stream(
+                total_samples=2 * size, frame_size=size, seed=1
             )
-            assert list(map(_edge_key, fast.added)) == list(
-                map(_edge_key, slow.added)
+            lpc = build_parallel_error_graph(frames, order=8, n_units=2)
+            systems.append((lpc.graph, lpc.partition))
+        for particles in (50, 100, 150, 200, 250, 300):
+            pf = build_particle_filter_graph(
+                model, observations, n_particles=particles, n_pes=2, seed=1
             )
-            assert fast.cost_after == slow.cost_after
-            assert fast.cost_before == slow.cost_before
+            systems.append((pf.graph, pf.partition))
+        for shape in (GraphShape(), GraphShape(collective_prob=0.7)):
+            for seed in range(100):
+                case = build_case(generate_spec(seed, shape))
+                systems.append((case.graph, case.partition))
+        graphs = _captured_sync_graphs(monkeypatch, systems)
+        assert len(graphs) == len(systems)
+        assert all(len(g) <= 24 for g in graphs[:12])
+        additions = sum(map(_assert_screened_matches_oracle, graphs))
+        # 8 of the 212 graphs (all conformance seeds) add an edge
+        assert additions >= 5
 
 
 class TestClosedFormHsdf:

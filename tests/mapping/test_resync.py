@@ -1,8 +1,10 @@
 """Unit and property tests for resynchronization (paper §4.1)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.mapping.resync as resync_module
 from repro.mapping import (
     EdgeKind,
     TimedEdge,
@@ -130,3 +132,105 @@ class TestResynchronize:
         assert result.cost_after <= result.cost_before
         # at minimum the chain head sync remains
         assert result.cost_after >= 1
+
+
+def two_chain_graph(sync_pairs, back_delay):
+    """Two-PE graph: chains a0 -> a1 on PE 0 and b0 -> b1 on PE 1 (each
+    with its unit-delay wrap-around), zero-delay sync edges ``a* -> b*``
+    and one IPC edge ``b1 -> a0`` closing a cross-PE cycle, so every
+    ``a* -> b*`` candidate has a finite back path."""
+    graph = SynchronizationGraph("two_chain")
+    for pe, names in ((0, ("a0", "a1")), (1, ("b0", "b1"))):
+        for name in names:
+            graph.add_vertex(TimedVertex(name, cycles=1, pe=pe))
+        graph.add_edge(TimedEdge(*names, delay=0, kind=EdgeKind.INTRA))
+        graph.add_edge(
+            TimedEdge(names[1], names[0], delay=1, kind=EdgeKind.INTRA)
+        )
+    for src, snk in sync_pairs:
+        graph.add_edge(TimedEdge(src, snk, delay=0, kind=EdgeKind.SYNC))
+    graph.add_edge(TimedEdge("b1", "a0", delay=back_delay, kind=EdgeKind.IPC))
+    return graph
+
+
+def edge_key(edge):
+    return (edge.src, edge.snk, edge.delay, edge.kind)
+
+
+class TestGainScreen:
+    """The addition search skips every candidate whose gain bound (the
+    edges it could make redundant) cannot pay for the edge it adds."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"mcm": 0, "copy": 0}
+        real_mcm = resync_module.maximum_cycle_mean
+        real_copy = SynchronizationGraph.copy
+
+        def mcm(graph):
+            calls["mcm"] += 1
+            return real_mcm(graph)
+
+        def copy(graph, name=None):
+            calls["copy"] += 1
+            return real_copy(graph, name)
+
+        monkeypatch.setattr(resync_module, "maximum_cycle_mean", mcm)
+        monkeypatch.setattr(SynchronizationGraph, "copy", copy)
+        return calls
+
+    def test_single_gain_candidate_rejected_without_probe_or_copy(
+        self, monkeypatch
+    ):
+        graph = two_chain_graph([("a0", "b1")], back_delay=1)
+        # (a1, b0) does make the one sync edge redundant, and its back
+        # path b0 -> b1 -> a0 -> a1 has delay 1, so the MCM bound
+        # (total_exec / 1) alone would still copy the graph and probe
+        trial = graph.copy()
+        trial.add_edge(TimedEdge("a1", "b0", delay=0, kind=EdgeKind.SYNC))
+        pruned, removed = remove_redundant_synchronizations(trial)
+        assert list(map(edge_key, removed)) == [
+            ("a0", "b1", 0, EdgeKind.SYNC)
+        ]
+        assert pruned.sync_cost() == graph.sync_cost()
+        assert graph.min_delay_paths()["b0"]["a1"] == 1
+        assert sum(v.cycles for v in graph.vertices) > maximum_cycle_mean(
+            graph
+        )
+
+        calls = self.count_calls(monkeypatch)
+        result = resynchronize(graph, incremental=True)
+        assert result.added == []
+        assert result.cost_after == result.cost_before == 2
+        # mcm_before is the only MCM call, the initial pruning's the
+        # only copy
+        assert calls == {"mcm": 1, "copy": 1}
+
+    def test_double_gain_candidate_adopted(self):
+        graph = two_chain_graph([("a0", "b0"), ("a1", "b1")], back_delay=2)
+        for incremental in (True, False):
+            result = resynchronize(graph, incremental=incremental)
+            assert list(map(edge_key, result.added)) == [
+                ("a1", "b0", 0, EdgeKind.SYNC)
+            ]
+            assert sorted(map(edge_key, result.removed)) == [
+                ("a0", "b0", 0, EdgeKind.SYNC),
+                ("a1", "b1", 0, EdgeKind.SYNC),
+            ]
+            assert (result.cost_before, result.cost_after) == (3, 2)
+            assert result.mcm_after <= result.mcm_before
+
+    @pytest.mark.parametrize("incremental", [True, False])
+    def test_no_final_mcm_call_without_additions(
+        self, monkeypatch, incremental
+    ):
+        graph = fan_graph(3)
+        graph.add_edge(TimedEdge("t2", "src", delay=1, kind=EdgeKind.SYNC))
+        calls = self.count_calls(monkeypatch)
+        result = resynchronize(
+            graph, max_addition_vertices=0, incremental=incremental
+        )
+        assert result.added == [] and result.removed
+        assert calls["mcm"] == 1
+        assert result.mcm_after == result.mcm_before
+        assert result.mcm_after == maximum_cycle_mean(result.graph)
