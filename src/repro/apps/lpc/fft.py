@@ -42,24 +42,7 @@ def _bit_reverse_indices(n: int) -> np.ndarray:
 
 def fft(samples: Sequence[complex]) -> np.ndarray:
     """Forward FFT of a power-of-two length sequence."""
-    data = np.asarray(samples, dtype=np.complex128)
-    n = data.shape[0]
-    if not is_power_of_two(n):
-        raise ValueError(f"FFT length must be a power of two, got {n}")
-    if n == 1:
-        return data.copy()
-    out = data[_bit_reverse_indices(n)].copy()
-    span = 2
-    while span <= n:
-        half = span // 2
-        twiddles = np.exp(-2j * math.pi * np.arange(half) / span)
-        for block in range(0, n, span):
-            upper = out[block:block + half].copy()
-            lower = out[block + half:block + span] * twiddles
-            out[block:block + half] = upper + lower
-            out[block + half:block + span] = upper - lower
-        span *= 2
-    return out
+    return fft_batch(np.asarray(samples, dtype=np.complex128)[None])[0]
 
 
 def fft_batch(frames: Sequence[Sequence[complex]]) -> np.ndarray:
@@ -67,9 +50,10 @@ def fft_batch(frames: Sequence[Sequence[complex]]) -> np.ndarray:
 
     The butterfly recursion is vectorized over the batch dimension
     *and* over same-stage blocks (a ``(B, N/span, span)`` reshape
-    replaces the per-block Python loop).  Every element sees exactly
-    the same operand pair in the same stage order as :func:`fft`, so
-    each row is bit-identical to the scalar transform of that window.
+    stands in for a per-block loop).  Every element sees the same
+    operand pair in the same stage order as a block-by-block radix-2
+    transform, so each row is bit-identical to it; :func:`fft` is the
+    one-row case.
     """
     data = np.atleast_2d(np.asarray(frames, dtype=np.complex128))
     b, n = data.shape

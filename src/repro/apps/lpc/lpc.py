@@ -19,6 +19,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.apps.lpc.linalg import SingularMatrixError, solve
+from repro.apps.lpc.signal_gen import ar_filter
 
 __all__ = [
     "autocorrelation",
@@ -67,11 +68,8 @@ def autocorrelation_batch(frames: np.ndarray, lags: int) -> np.ndarray:
 def normal_equations(r: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Toeplitz system ``R a = rhs`` from autocorrelation ``r[0..M]``."""
     order = r.shape[0] - 1
-    matrix = np.empty((order, order))
-    for i in range(order):
-        for j in range(order):
-            matrix[i, j] = r[abs(i - j)]
-    return matrix, r[1 : order + 1]
+    i = np.arange(order)
+    return r[np.abs(i[:, None] - i[None, :])], r[1 : order + 1]
 
 
 def lpc_coefficients(
@@ -97,27 +95,22 @@ def predict(frame: Sequence[float], coefficients: np.ndarray) -> np.ndarray:
     """Predicted value of each sample from its ``M`` predecessors.
 
     Samples with fewer than ``M`` predecessors use the available ones
-    (the frame-initial transient).
+    (the frame-initial transient).  This is the one-row case of
+    :func:`predict_batch`.
     """
     x = np.asarray(frame, dtype=np.float64)
-    order = coefficients.shape[0]
-    predicted = np.zeros_like(x)
-    for i in range(x.shape[0]):
-        history = min(i, order)
-        if history:
-            predicted[i] = coefficients[:history] @ x[i - history : i][::-1]
-    return predicted
+    return predict_batch(x[None], np.asarray(coefficients)[None])[0]
 
 
 def predict_batch(frames: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     """:func:`predict` vectorized over a batch of frames.
 
     ``frames`` is ``(B, N)`` and ``coefficients`` ``(B, M)`` (one
-    predictor per frame).  Per-lag accumulation replaces the per-sample
-    Python loop: lag ``k`` contributes ``a[:, k-1] * x[:, :-k]`` to
-    every sample at once, across the whole batch.  Agrees with the
-    scalar :func:`predict` to within float summation order
-    (``allclose``, not bit-identity).
+    predictor per frame).  Lag ``k`` contributes ``a[:, k-1] * x[:, :-k]``
+    to every sample at once, across the whole batch.  Each sample
+    accumulates its lags in the order ``k = 1, 2, ...`` starting from
+    zero, exactly as a sequential dot product over the reversed history
+    does, so every row equals that per-sample definition bit for bit.
     """
     x = np.atleast_2d(np.asarray(frames, dtype=np.float64))
     a = np.atleast_2d(np.asarray(coefficients, dtype=np.float64))
@@ -147,17 +140,12 @@ def prediction_error_batch(
 
 
 def reconstruct(error: Sequence[float], coefficients: np.ndarray) -> np.ndarray:
-    """Invert :func:`prediction_error`: rebuild the frame from residual."""
-    e = np.asarray(error, dtype=np.float64)
-    order = coefficients.shape[0]
-    x = np.zeros_like(e)
-    for i in range(e.shape[0]):
-        history = min(i, order)
-        predicted = 0.0
-        if history:
-            predicted = coefficients[:history] @ x[i - history : i][::-1]
-        x[i] = e[i] + predicted
-    return x
+    """Invert :func:`prediction_error`: rebuild the frame from residual.
+
+    The predictor run backwards is the all-pole filter driven by the
+    residual.
+    """
+    return ar_filter(error, coefficients)
 
 
 @dataclass(frozen=True)

@@ -145,10 +145,9 @@ class _IoSource:
         frame = self.frames[firing_index % len(self.frames)]
         coefs = self.coefficient_sets[firing_index % len(self.coefficient_sets)]
         start, stop, overlap = self._bounds(frame.shape[0], coefs.shape[0])
-        chunk = [float(v) for v in frame[start - overlap : stop]]
         return {
-            "chunk": chunk,
-            "coefs": [float(v) for v in coefs],
+            "chunk": frame[start - overlap : stop].tolist(),
+            "coefs": coefs.tolist(),
         }
 
     def cycles(self, firing_index: int, inputs: Dict[str, list]) -> int:
@@ -170,7 +169,7 @@ class _ErrorUnit:
         coefs = np.asarray(inputs["coefs"], dtype=np.float64)
         overlap = 0 if self.unit_index == 0 else coefs.shape[0]
         errors = prediction_error(chunk, coefs)[overlap:]
-        return {"errors": [float(v) for v in errors]}
+        return {"errors": errors.tolist()}
 
     def cycles(self, firing_index: int, inputs: Dict[str, list]) -> int:
         chunk = inputs.get("chunk") or []

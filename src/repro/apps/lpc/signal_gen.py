@@ -20,18 +20,24 @@ __all__ = ["SpeechLikeSource", "ar_filter", "frame_stream"]
 def ar_filter(
     excitation: Sequence[float], coefficients: Sequence[float]
 ) -> np.ndarray:
-    """All-pole filter: ``y[n] = e[n] + sum_k a[k] y[n-k]``."""
-    a = np.asarray(coefficients, dtype=np.float64)
+    """All-pole filter: ``y[n] = e[n] + sum_k a[k] y[n-k]``.
+
+    The recursion runs on Python floats.  For each ``n`` the sum starts
+    at zero and adds ``a[k] y[n-1-k]`` for ``k = 0, 1, ...`` before
+    ``e[n]`` is added: the order of a sequential dot product over the
+    reversed history, which the output must match bit for bit.
+    """
+    a = np.asarray(coefficients, dtype=np.float64).tolist()
     e = np.asarray(excitation, dtype=np.float64)
-    y = np.zeros_like(e)
-    order = a.shape[0]
-    for n in range(e.shape[0]):
-        history = min(n, order)
-        acc = e[n]
-        if history:
-            acc += a[:history] @ y[n - history : n][::-1]
-        y[n] = acc
-    return y
+    y: List[float] = []
+    for n, sample in enumerate(e.tolist()):
+        if n and a:
+            acc = 0.0
+            for coefficient, past in zip(a, reversed(y[-len(a):])):
+                acc += coefficient * past
+            sample += acc
+        y.append(sample)
+    return np.array(y, dtype=np.float64)
 
 
 class SpeechLikeSource:

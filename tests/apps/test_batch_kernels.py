@@ -2,10 +2,10 @@
 
 The batched accelerator dispatch runs one numpy-vectorized kernel over
 B queued firings.  Where the vectorized form reproduces the exact
-operand pairing of the scalar kernel (FFT butterflies, elementwise
-likelihoods, integer bincount) the rows must be *bit-identical*; where
-float summation order legitimately differs (einsum autocorrelation,
-per-lag prediction) the contract is ``allclose``.
+operand pairing of the scalar kernel (FFT butterflies, per-lag
+prediction, elementwise likelihoods, integer bincount) the rows must be
+*bit-identical*; where float summation order legitimately differs
+(einsum autocorrelation) the contract is ``allclose``.
 """
 
 import numpy as np
@@ -92,7 +92,7 @@ class TestLpcBatch:
         with pytest.raises(ValueError, match="longer than"):
             autocorrelation_batch(np.zeros((2, 8)), lags=8)
 
-    def test_predict_and_error_rows_close(self):
+    def test_predict_and_error_rows_bit_identical(self):
         frames = speech_frames(4, 64)
         coefficients = np.stack(
             [lpc_coefficients(frame, order=6) for frame in frames]
@@ -100,8 +100,10 @@ class TestLpcBatch:
         predicted = predict_batch(frames, coefficients)
         errors = prediction_error_batch(frames, coefficients)
         for i, frame in enumerate(frames):
-            assert np.allclose(predicted[i], predict(frame, coefficients[i]))
-            assert np.allclose(
+            assert np.array_equal(
+                predicted[i], predict(frame, coefficients[i])
+            )
+            assert np.array_equal(
                 errors[i], prediction_error(frame, coefficients[i])
             )
 
