@@ -1,4 +1,4 @@
-"""Cold-analysis wall-clock: the array-backed engine vs the legacy one.
+"""Cold-analysis wall clock of the compile pipeline, host-normalized.
 
 The workload is the cold-cache compile pipeline every *distinct* graph
 pays (paper §3/§4): HSDF expansion, self-timed scheduling, IPC/sync
@@ -6,49 +6,43 @@ graph derivation, resynchronization, and the MCM bound.  Two fuzzer
 cases are measured end to end and per stage:
 
 * **large_rep** — conformance graphs whose repetition-vector magnitude
-  is cranked up (``max_repetition=12``); token enumeration and repeated
-  Bellman–Ford probes dominate the legacy engine here;
+  is cranked up (``max_repetition=12``), so HSDF expansion and the
+  graphs every later stage sees are large;
 * **resync_heavy** — dense many-PE graphs (``max_pes=4``, high extra
-  edge probability) where the legacy resynchronizer's per-candidate
-  full MCM and per-removal Floyd–Warshall dominate.  This is the
-  *contended analysis case* gated in quick mode.
+  edge probability) where the resynchronizer's addition search and the
+  MCM probes dominate.
 
-Both engines run in-process: the legacy stack is selected per call via
-``algorithm=`` / ``method=`` / ``engine=`` / ``incremental=`` switches,
-and end to end via ``REPRO_ANALYSIS_ENGINE=legacy``.  A 50-seed
-Howard-vs-Lawler equivalence campaign rides along so the committed
-baseline records bit-compatible verdicts, not just speed.
+Quick and full mode compile the same ``COMPILE_SEEDS`` cases with the
+same repeats, so a quick CI run is directly comparable with the
+committed full-mode baseline.  Every repeat times the host reference
+loop (``conftest.reference_seconds``) right before the cold compiles;
+``normalized_seconds`` — the median over repeats of the compile wall
+divided by that reference wall — is the host-normalized cold-analysis
+time ``check_analysis_regression.py`` gates on.
 
-``BENCH_analysis.json`` records per-case and per-stage wall clocks and
-speedups; ``check_analysis_regression.py`` gates CI on the speedup
-floors; ``analysis_stages.csv`` is the per-stage artifact CI uploads.
+``BENCH_analysis.json`` records per-case and per-stage wall clocks;
+``analysis_stages.csv`` is the per-stage artifact CI uploads.
 """
 
 import math
-import os
+import statistics
 import time
 
 import pytest
 
-from conftest import QUICK, RESULTS_DIR, emit, save_bench_json
+from conftest import RESULTS_DIR, emit, reference_seconds, save_bench_json
 
 from repro.conformance.generator import GraphShape, generate_spec
 from repro.conformance.spec import build_case
 from repro.dataflow.hsdf import hsdf_expand
-from repro.mapping import (
-    maximum_cycle_mean,
-    maximum_cycle_mean_result,
-    resynchronize,
-    simulate_selftimed,
-)
+from repro.mapping import maximum_cycle_mean, resynchronize, simulate_selftimed
 from repro.spi import SpiConfig, SpiSystem
 
-#: end-to-end cold compiles per case (each on a distinct seed)
-COMPILE_SEEDS = 3 if QUICK else 8
-#: per-stage timing repeats (best-of to shed scheduler noise)
-REPEATS = 2 if QUICK else 4
-#: Howard-vs-Lawler verdict campaign size (acceptance: 50 in full mode)
-EQUIVALENCE_SEEDS = 15 if QUICK else 50
+#: end-to-end cold compiles per case (each on a distinct seed; the same
+#: list in quick and full mode)
+COMPILE_SEEDS = 8
+#: timing repeats (median of normalized walls, best-of raw walls)
+REPEATS = 5
 
 CASES = {
     "large_rep": GraphShape(
@@ -75,28 +69,21 @@ CASES = {
 }
 
 
-def _cases(name, count, start=0):
+def _cases(name):
     shape = CASES[name]
     return [
-        build_case(generate_spec(1000 + start + i, shape))
-        for i in range(count)
+        build_case(generate_spec(1000 + i, shape))
+        for i in range(COMPILE_SEEDS)
     ]
 
 
-def _best_of(repeats, fn, legacy=False):
-    """Best-of wall clock; ``legacy`` selects the legacy engine for any
-    nested analysis calls (e.g. the MCM probes inside resynchronize)."""
-    if legacy:
-        os.environ["REPRO_ANALYSIS_ENGINE"] = "legacy"
-    try:
-        best = math.inf
-        for _ in range(repeats):
-            started = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - started)
-        return best
-    finally:
-        os.environ.pop("REPRO_ANALYSIS_ENGINE", None)
+def _best_of(fn):
+    best = math.inf
+    for _ in range(REPEATS):
+        started = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - started)
+    return best
 
 
 def _compile_cold(case):
@@ -105,186 +92,90 @@ def _compile_cold(case):
     return system
 
 
-def _end_to_end(cases, legacy):
-    """Total cold-analysis wall across the case list, one engine."""
-    if legacy:
-        os.environ["REPRO_ANALYSIS_ENGINE"] = "legacy"
-    else:
-        os.environ.pop("REPRO_ANALYSIS_ENGINE", None)
-    try:
+def _end_to_end(cases):
+    """Cold-analysis wall across the case list, host-normalized."""
+    walls = []
+    references = []
+    for _ in range(REPEATS):
+        references.append(reference_seconds())
         started = time.perf_counter()
         for case in cases:
             _compile_cold(case)
-        return time.perf_counter() - started
-    finally:
-        os.environ.pop("REPRO_ANALYSIS_ENGINE", None)
+        walls.append(time.perf_counter() - started)
+    return {
+        "compiles": len(cases),
+        "seconds": min(walls),
+        "reference_seconds": statistics.median(references),
+        "normalized_seconds": statistics.median(
+            wall / reference for wall, reference in zip(walls, references)
+        ),
+    }
 
 
 def _stage_times(case):
-    """Best-of wall clock per pipeline stage, legacy vs fast."""
+    """Best-of wall clock per pipeline stage."""
     system = _compile_cold(case)
     reference = (
         system.resync_result.graph
         if system.resync_result is not None
         else system.sync_graph
     )
-    sync = system.sync_graph
     stages = {
-        "hsdf_expand": (
-            lambda: hsdf_expand(case.graph, method="enumerate"),
-            lambda: hsdf_expand(case.graph, method="closed_form"),
-        ),
-        "mcm": (
-            lambda: maximum_cycle_mean(reference, algorithm="lawler"),
-            lambda: maximum_cycle_mean(reference, algorithm="howard"),
-        ),
-        "resync": (
-            lambda: resynchronize(sync, incremental=False),
-            lambda: resynchronize(sync, incremental=True),
-        ),
-        # the shipped default is "auto": vectorized above the ~500-vertex
-        # numpy crossover, python below — so it never loses to legacy
-        "simulate": (
-            lambda: simulate_selftimed(reference, 30, engine="python"),
-            lambda: simulate_selftimed(reference, 30, engine="auto"),
-        ),
+        "hsdf_expand": lambda: hsdf_expand(case.graph),
+        "mcm": lambda: maximum_cycle_mean(reference),
+        "resync": lambda: resynchronize(system.sync_graph),
+        "simulate": lambda: simulate_selftimed(reference, 30),
     }
-    rows = {}
-    for stage, (legacy_fn, fast_fn) in stages.items():
-        legacy = _best_of(REPEATS, legacy_fn, legacy=True)
-        fast = _best_of(REPEATS, fast_fn)
-        rows[stage] = {
-            "legacy_seconds": legacy,
-            "fast_seconds": fast,
-            "speedup": legacy / fast if fast > 0 else 0.0,
-        }
-    return rows
-
-
-def _equivalence_campaign():
-    """Howard vs Lawler verdicts on the conformance population."""
-    shapes = [
-        GraphShape(),
-        GraphShape(collective_prob=0.9, max_pes=3),
-        GraphShape(batch_prob=0.9, max_batch=4, max_pes=3),
-    ]
-    agreements = 0
-    for index in range(EQUIVALENCE_SEEDS):
-        case = build_case(
-            generate_spec(index, shapes[index % len(shapes)])
-        )
-        system = SpiSystem.compile(case.graph, case.partition, SpiConfig())
-        reference = (
-            system.resync_result.graph
-            if system.resync_result is not None
-            else system.sync_graph
-        )
-        howard = maximum_cycle_mean_result(reference, algorithm="howard")
-        lawler = maximum_cycle_mean(reference, algorithm="lawler")
-        if math.isinf(lawler):
-            agreements += math.isinf(howard.value)
-        else:
-            agreements += math.isclose(
-                howard.value, lawler, rel_tol=1e-5, abs_tol=1e-5
-            )
-    return {"seeds": EQUIVALENCE_SEEDS, "agreements": agreements}
+    return {stage: {"seconds": _best_of(fn)} for stage, fn in stages.items()}
 
 
 @pytest.fixture(scope="module")
 def analysis():
     results = {}
     for name in CASES:
-        cases = _cases(name, COMPILE_SEEDS)
-        # interleave engines per repeat so drift hits both equally
-        legacy = min(
-            _end_to_end(cases, legacy=True) for _ in range(REPEATS)
-        )
-        fast = min(
-            _end_to_end(cases, legacy=False) for _ in range(REPEATS)
-        )
-        results[name] = {
-            "compiles": COMPILE_SEEDS,
-            "legacy_seconds": legacy,
-            "fast_seconds": fast,
-            "speedup": legacy / fast if fast > 0 else 0.0,
-            "stages": _stage_times(cases[0]),
-        }
-    return {"cases": results, "equivalence": _equivalence_campaign()}
+        cases = _cases(name)
+        results[name] = _end_to_end(cases)
+        results[name]["stages"] = _stage_times(cases[0])
+    return results
 
 
 def _stage_csv(results):
-    lines = ["case,stage,legacy_seconds,fast_seconds,speedup"]
+    lines = ["case,stage,seconds"]
     for name, case in sorted(results.items()):
-        lines.append(
-            f"{name},total,{case['legacy_seconds']:.4f},"
-            f"{case['fast_seconds']:.4f},{case['speedup']:.2f}"
-        )
+        lines.append(f"{name},total,{case['seconds']:.4f}")
         for stage, row in sorted(case["stages"].items()):
-            lines.append(
-                f"{name},{stage},{row['legacy_seconds']:.4f},"
-                f"{row['fast_seconds']:.4f},{row['speedup']:.2f}"
-            )
+            lines.append(f"{name},{stage},{row['seconds']:.4f}")
     return "\n".join(lines)
 
 
 def test_analysis_report(analysis):
     lines = []
-    for name, case in sorted(analysis["cases"].items()):
+    for name, case in sorted(analysis.items()):
         lines.append(
-            f"{name}: cold analysis x{case['compiles']} — legacy "
-            f"{case['legacy_seconds']:.3f}s, fast "
-            f"{case['fast_seconds']:.3f}s, {case['speedup']:.1f}x"
+            f"{name}: cold analysis x{case['compiles']} "
+            f"{case['seconds']:.3f}s = {case['normalized_seconds']:.2f} "
+            f"reference loops ({case['reference_seconds'] * 1e3:.1f} ms each)"
         )
         for stage, row in sorted(case["stages"].items()):
-            lines.append(
-                f"  {stage:<12} {row['legacy_seconds'] * 1e3:8.2f} ms -> "
-                f"{row['fast_seconds'] * 1e3:8.2f} ms  "
-                f"({row['speedup']:.1f}x)"
-            )
-    equivalence = analysis["equivalence"]
-    lines.append(
-        f"howard==lawler verdicts: {equivalence['agreements']}/"
-        f"{equivalence['seeds']} seeds"
-    )
-    emit("Cold-analysis wall clock (legacy vs array-backed engine)", "\n".join(lines))
-
-
-def test_analysis_verdicts_bit_compatible(analysis):
-    equivalence = analysis["equivalence"]
-    assert equivalence["agreements"] == equivalence["seeds"]
-
-
-def test_analysis_speedup_floors(analysis):
-    """Loose in-test floors; check_analysis_regression.py applies the
-    strict committed-baseline gates (5x large_rep / 2x resync_heavy
-    full mode, 2x contended quick mode)."""
-    floor = 1.5 if QUICK else 2.0
-    for name, case in analysis["cases"].items():
-        assert case["speedup"] >= floor, (
-            f"{name}: cold-analysis speedup {case['speedup']:.2f}x "
-            f"below {floor}x"
-        )
+            lines.append(f"  {stage:<12} {row['seconds'] * 1e3:8.2f} ms")
+    emit("Cold-analysis wall clock", "\n".join(lines))
 
 
 def test_analysis_stage_csv(analysis):
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / "analysis_stages.csv"
-    path.write_text(_stage_csv(analysis["cases"]) + "\n")
+    path.write_text(_stage_csv(analysis) + "\n")
     assert path.exists()
 
 
 def test_analysis_bench_export(analysis):
-    wall = sum(
-        case["fast_seconds"] for case in analysis["cases"].values()
-    )
     path = save_bench_json(
         "analysis",
         makespan_cycles=0,
         iteration_period_cycles=0.0,
-        wall_seconds=wall,
+        wall_seconds=sum(case["seconds"] for case in analysis.values()),
         extra={
-            "cases": analysis["cases"],
-            "equivalence": analysis["equivalence"],
+            "cases": analysis,
             "compile_seeds": COMPILE_SEEDS,
             "repeats": REPEATS,
         },

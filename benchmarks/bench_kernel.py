@@ -25,9 +25,10 @@ period and extrapolates the remaining iterations analytically; fig7's
 resampling traffic is data-dependent, so auto must decline and stay
 within noise of off.  ``check_kernel_regression.py`` gates both.
 
-Each workload also records ``reference_seconds``, the median wall of a
-fixed pure-python event loop that shares no code with ``repro`` (same
-size in quick and full mode), timed next to the workload's own runs.
+Each workload also records ``reference_seconds``, the median wall of
+the fixed pure-python event loop in ``conftest.reference_seconds``
+(shared with the analysis and campaign benches; same size in quick and
+full mode), timed next to the workload's own runs.
 ``events_per_reference_loop`` — the median over repeats of events/sec
 times the reference wall taken just before — is host-normalized
 throughput, which lets the gate compare a quick run on one machine
@@ -35,14 +36,12 @@ against the committed full-mode baseline from another.
 """
 
 import gc
-import heapq
-import itertools
 import statistics
 import time
 
 import pytest
 
-from conftest import QUICK, emit, save_bench_json
+from conftest import QUICK, emit, reference_seconds, save_bench_json
 from repro.platform import ProcessingElement, PESequencer, Simulator, Waitset
 from repro.spi import SpiSystem
 
@@ -57,8 +56,6 @@ REPEATS = 2 if QUICK else 3
 KERNEL_REPEATS = 7
 #: graph iterations for the steady-state off-vs-auto application sweep
 STEADY_ITERATIONS = 60 if QUICK else 200
-#: events of the host reference loop (mode-independent on purpose)
-REFERENCE_EVENTS = 50_000
 
 
 class TokenQueue:
@@ -129,32 +126,6 @@ class ConsumeTask:
     def finish(self, now):
         if self.out_queue is not None:
             self.out_queue.push()
-
-
-def reference_seconds() -> float:
-    """Wall of a fixed heap-driven event loop (host speed probe).
-
-    Each event pops the earliest ``(time, seq, callback)`` entry and
-    its callback schedules the next one — the shape of the kernel's
-    main loop, built from the standard library only.
-    """
-    heap = []
-    seq = itertools.count()
-    counter = [0]
-
-    def tick(now):
-        counter[0] += 1
-        if counter[0] < REFERENCE_EVENTS:
-            heapq.heappush(heap, (now + 1 + counter[0] % 7, next(seq), tick))
-
-    for start in range(16):
-        heapq.heappush(heap, (start, next(seq), tick))
-    gc.collect()
-    begin = time.perf_counter()
-    while heap:
-        now, _, callback = heapq.heappop(heap)
-        callback(now)
-    return time.perf_counter() - begin
 
 
 def _run(build) -> dict:

@@ -5,7 +5,7 @@ Usage::
 
     python benchmarks/check_campaign_regression.py CURRENT.json [BASELINE.json]
 
-Four absolute gates always apply (they are machine-independent — both
+Three absolute gates always apply (they are machine-independent — both
 sides of each ratio run on the same box in the same process):
 
 * **throughput floor** — the service campaign must beat one process per
@@ -14,16 +14,18 @@ sides of each ratio run on the same box in the same process):
 * **cache floor** — the repeated-graph campaign's analysis-cache hit
   rate must stay >= 0.9;
 * **no failed units** — shard-level failure isolation must not be
-  exercised on the healthy workload;
-* **cold-miss floor** (when the document has a ``cold_miss`` section) —
-  on distinct seeds with the cache off, the array-backed analysis
-  engine must keep a >= 1.5x (1.2x quick) throughput win over the
-  legacy engine.
+  exercised on the healthy workload.
 
-When a baseline produced with the same ``quick`` flag is given, the
-speedup and service runs/sec are additionally compared against it with
-a tolerance; quick-vs-full pairs skip the comparison (campaign sizes
-differ, so the numbers are incomparable) and rely on the floors.
+When a baseline is given:
+
+* **cold-miss floor** (any mode) — the cold-miss campaign runs one unit
+  list in quick and full mode, so its host-normalized rate
+  (``runs_per_reference_loop``) must keep ``COLD_MISS_FLOOR`` of the
+  baseline's: at most 1.67x slower;
+* **same-mode comparison** — when the baseline was produced with the
+  same ``quick`` flag, the speedup and service runs/sec are compared
+  against it with a tolerance; quick-vs-full pairs skip this (campaign
+  sizes differ, so the numbers are incomparable).
 
 Exit status 0 = pass, 1 = regression, 2 = unusable input.
 """
@@ -45,11 +47,10 @@ SPEEDUP_FLOOR_QUICK = 1.5
 #: analysis-cache hit-rate floor on the repeated-graph workload
 HIT_RATE_FLOOR = 0.9
 
-#: cold-miss (cache-off, distinct-seed) fast-vs-legacy engine floors —
-#: the cache can't help distinct graphs, so this isolates the analysis
-#: engine's own win
-COLD_MISS_FLOOR_FULL = 1.5
-COLD_MISS_FLOOR_QUICK = 1.2
+#: share of the baseline's host-normalized cold-miss (cache-off,
+#: distinct-seed) rate the current run keeps — the cache can't help
+#: distinct graphs, so this isolates the analysis pipeline
+COLD_MISS_FLOOR = 0.6
 
 
 def _load(path: str) -> dict:
@@ -84,22 +85,17 @@ def check(current: dict, baseline: dict = None) -> list:
     if failed:
         failures.append(f"{failed} campaign unit(s) failed")
 
-    cold = extra.get("cold_miss")
-    if cold is not None:
-        cold_floor = (
-            COLD_MISS_FLOOR_QUICK
-            if current.get("quick")
-            else COLD_MISS_FLOOR_FULL
-        )
-        if cold["speedup"] < cold_floor:
-            failures.append(
-                f"cold-miss engine speedup {cold['speedup']:.2f}x fell "
-                f"below the {cold_floor:.1f}x floor"
-            )
-
     if baseline is None:
-        pass
-    elif baseline.get("quick") == current.get("quick"):
+        return failures
+    base_cold = baseline["extra"]["cold_miss"]["runs_per_reference_loop"]
+    cur_cold = extra["cold_miss"]["runs_per_reference_loop"]
+    if cur_cold < base_cold * COLD_MISS_FLOOR:
+        failures.append(
+            f"host-normalized cold-miss rate {cur_cold:.2f} fell below "
+            f"{COLD_MISS_FLOOR:.0%} of the baseline's {base_cold:.2f} "
+            f"runs per reference loop"
+        )
+    if baseline.get("quick") == current.get("quick"):
         base_speedup = baseline["extra"]["speedup"]
         if speedup < base_speedup * (1.0 - TOLERANCE):
             failures.append(
@@ -115,8 +111,8 @@ def check(current: dict, baseline: dict = None) -> list:
             )
     else:
         print(
-            "note: baseline/current quick flags differ; baseline "
-            "comparison skipped (absolute floors still apply)"
+            "note: baseline/current quick flags differ; same-mode "
+            "comparison skipped (floors still apply)"
         )
     return failures
 
@@ -128,10 +124,10 @@ def main(argv) -> int:
     try:
         current = _load(argv[1])
         baseline = _load(argv[2]) if len(argv) == 3 else None
+        failures = check(current, baseline)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}")
         return 2
-    failures = check(current, baseline)
     if failures:
         print("campaign benchmark regression:")
         for failure in failures:
@@ -141,7 +137,9 @@ def main(argv) -> int:
     print(
         f"campaign benchmark OK: {extra['speedup']:.2f}x vs serial, "
         f"cache hit rate {extra['cache']['hit_rate']:.3f}, "
-        f"{extra['runs']} runs"
+        f"{extra['runs']} runs, cold miss "
+        f"{extra['cold_miss']['runs_per_reference_loop']:.2f} runs per "
+        f"reference loop"
     )
     return 0
 

@@ -10,8 +10,12 @@ pytest-benchmark.
 
 from __future__ import annotations
 
+import gc
+import heapq
+import itertools
 import json
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +25,9 @@ RESULTS_DIR = Path(__file__).parent / "results"
 #: reduced sweeps for the CI benchmark-smoke job (same shapes, fewer
 #: points); set REPRO_BENCH_QUICK=1 to enable
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") == "1"
+
+#: events of the host reference loop (mode-independent on purpose)
+REFERENCE_EVENTS = 50_000
 
 
 def save_result(name: str, text: str) -> Path:
@@ -85,6 +92,34 @@ def save_bench_json(
         path.write_text(json.dumps(document, indent=2) + "\n")
         return path
     return write_bench_json(RESULTS_DIR, document)
+
+
+def reference_seconds() -> float:
+    """Wall of a fixed heap-driven event loop (host speed probe).
+
+    Each event pops the earliest ``(time, seq, callback)`` entry and
+    its callback schedules the next one, built from the standard
+    library only and sharing no code with ``repro``.  Dividing a
+    workload's wall by it gives a host-normalized time that a quick run
+    on one machine can compare with a full-mode baseline from another.
+    """
+    heap = []
+    seq = itertools.count()
+    counter = [0]
+
+    def tick(now):
+        counter[0] += 1
+        if counter[0] < REFERENCE_EVENTS:
+            heapq.heappush(heap, (now + 1 + counter[0] % 7, next(seq), tick))
+
+    for start in range(16):
+        heapq.heappush(heap, (start, next(seq), tick))
+    gc.collect()
+    begin = time.perf_counter()
+    while heap:
+        now, _, callback = heapq.heappop(heap)
+        callback(now)
+    return time.perf_counter() - begin
 
 
 def emit(title: str, text: str) -> None:

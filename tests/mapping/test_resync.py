@@ -14,6 +14,7 @@ from repro.mapping import (
     resynchronize,
 )
 from repro.mapping.sync_graph import SynchronizationGraph, is_redundant
+from tests.mapping import analysis_reference
 
 
 def fan_graph(n_targets=3):
@@ -176,6 +177,7 @@ class TestGainScreen:
             return real_copy(graph, name)
 
         monkeypatch.setattr(resync_module, "maximum_cycle_mean", mcm)
+        monkeypatch.setattr(analysis_reference, "maximum_cycle_mean", mcm)
         monkeypatch.setattr(SynchronizationGraph, "copy", copy)
         return calls
 
@@ -199,7 +201,7 @@ class TestGainScreen:
         )
 
         calls = self.count_calls(monkeypatch)
-        result = resynchronize(graph, incremental=True)
+        result = resynchronize(graph)
         assert result.added == []
         assert result.cost_after == result.cost_before == 2
         # mcm_before is the only MCM call, the initial pruning's the
@@ -208,8 +210,11 @@ class TestGainScreen:
 
     def test_double_gain_candidate_adopted(self):
         graph = two_chain_graph([("a0", "b0"), ("a1", "b1")], back_delay=2)
-        for incremental in (True, False):
-            result = resynchronize(graph, incremental=incremental)
+        for search in (
+            resynchronize,
+            analysis_reference.resynchronize_unscreened,
+        ):
+            result = search(graph)
             assert list(map(edge_key, result.added)) == [
                 ("a1", "b0", 0, EdgeKind.SYNC)
             ]
@@ -220,16 +225,17 @@ class TestGainScreen:
             assert (result.cost_before, result.cost_after) == (3, 2)
             assert result.mcm_after <= result.mcm_before
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_no_final_mcm_call_without_additions(
-        self, monkeypatch, incremental
-    ):
+    @pytest.mark.parametrize("screened", [True, False])
+    def test_no_final_mcm_call_without_additions(self, monkeypatch, screened):
         graph = fan_graph(3)
         graph.add_edge(TimedEdge("t2", "src", delay=1, kind=EdgeKind.SYNC))
         calls = self.count_calls(monkeypatch)
-        result = resynchronize(
-            graph, max_addition_vertices=0, incremental=incremental
+        search = (
+            resynchronize
+            if screened
+            else analysis_reference.resynchronize_unscreened
         )
+        result = search(graph, max_addition_vertices=0)
         assert result.added == [] and result.removed
         assert calls["mcm"] == 1
         assert result.mcm_after == result.mcm_before

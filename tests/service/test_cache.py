@@ -223,7 +223,6 @@ class TestDiskTier:
             "cycle": ["A", "B"],
             "total_cycles": 25,
             "total_delay": 2,
-            "algorithm": "howard",
         }
 
     def test_witnessless_legacy_mcm_entry_still_loads(self, tmp_path):
@@ -237,6 +236,34 @@ class TestDiskTier:
         result = cache.mcm(key, lambda: pytest.fail("must hit the cache"))
         assert result.value == 4.0
         assert result.cycle == ()
+
+    @pytest.mark.parametrize("algorithm", ["howard", "lawler"])
+    def test_mcm_entry_with_algorithm_key_still_loads(
+        self, tmp_path, algorithm
+    ):
+        cache = AnalysisCache(path=tmp_path)
+        graph = _toy_graph()
+        key = cache.key_for(graph, _toy_partition(graph), SpiConfig())
+        # Entries written by earlier releases name the solver that
+        # produced them; the key is ignored on load.
+        target = tmp_path / key[:2] / f"{key}.mcm.json"
+        target.parent.mkdir(parents=True)
+        target.write_text(
+            json.dumps(
+                {
+                    "value": 12.5,
+                    "cycle": ["A", "B"],
+                    "total_cycles": 25,
+                    "total_delay": 2,
+                    "algorithm": algorithm,
+                }
+            )
+        )
+        result = cache.mcm(key, lambda: pytest.fail("must hit the cache"))
+        assert cache.hits["mcm"] == 1
+        assert result == McmResult(
+            value=12.5, cycle=("A", "B"), total_cycles=25, total_delay=2
+        )
 
     def test_none_key_bypasses_cache(self):
         cache = AnalysisCache()
