@@ -21,9 +21,14 @@ The exported ``BENCH_kernel.json`` additionally records the
 steady-state sweep: the fig6/fig7 applications at
 ``STEADY_ITERATIONS`` with ``steady_state="off"`` vs ``"auto"``.  fig6
 declares ``timing_periodic`` actors, so auto locks onto the iteration
-period and extrapolates the remaining iterations analytically; fig7's
-resampling traffic is data-dependent, so auto must decline and stay
-within noise of off.  ``check_kernel_regression.py`` gates both.
+period and extrapolates the remaining iterations' timing analytically;
+fig7's resampling traffic is data-dependent, so auto must decline and
+stay within noise of off.  Both modes fire every actor kernel (a warped
+run fires the skipped iterations in PASS order after the simulation),
+so the sweep also times ``Actor.fire`` by wrapping it here, and
+``simulation_speedup`` compares the wall time spent outside the
+kernels — the part the warp removes.  ``check_kernel_regression.py``
+gates both.
 
 Each workload also records ``reference_seconds``, the median wall of
 the fixed pure-python event loop in ``conftest.reference_seconds``
@@ -38,10 +43,12 @@ against the committed full-mode baseline from another.
 import gc
 import statistics
 import time
+from contextlib import contextmanager
 
 import pytest
 
 from conftest import QUICK, emit, reference_seconds, save_bench_json
+from repro.dataflow.graph import Actor
 from repro.platform import ProcessingElement, PESequencer, Simulator, Waitset
 from repro.spi import SpiSystem
 
@@ -282,26 +289,53 @@ def _fig7_system() -> SpiSystem:
     return SpiSystem.compile(system.graph, system.partition)
 
 
-def _steady_measure(build_system, steady_state: str):
-    """Best-of-REPEATS wall for one steady-state mode.
+@contextmanager
+def _timed_actor_fire():
+    """Accumulate the wall time spent inside ``Actor.fire`` (the host
+    kernels) into the yielded one-element list."""
+    original = Actor.fire
+    spent = [0.0]
 
-    A fresh system is compiled for every run: the application kernels
-    are stateful (RNG, collectors), so reusing one would change the
-    simulated work between repeats.
+    def fire(self, firing_index, inputs):
+        start = time.perf_counter()
+        try:
+            return original(self, firing_index, inputs)
+        finally:
+            spent[0] += time.perf_counter() - start
+
+    Actor.fire = fire
+    try:
+        yield spent
+    finally:
+        Actor.fire = original
+
+
+def _steady_measure(build_system, steady_state: str):
+    """Best-of-REPEATS timings for one steady-state mode.
+
+    Returns the best wall, the best wall outside ``Actor.fire`` with the
+    kernel time of that repeat, and the best-wall run.  A fresh system
+    is compiled for every run: the application kernels are stateful
+    (RNG, collectors), so reusing one would change the simulated work
+    between repeats.
     """
-    best_wall = None
-    best_run = None
+    best_wall = best_run = None
+    best_simulation = best_fire = None
     for _ in range(REPEATS):
         system = build_system()
-        start = time.perf_counter()
-        run = system.run(
-            iterations=STEADY_ITERATIONS, steady_state=steady_state
-        )
-        wall = time.perf_counter() - start
+        with _timed_actor_fire() as fire:
+            start = time.perf_counter()
+            run = system.run(
+                iterations=STEADY_ITERATIONS, steady_state=steady_state
+            )
+            wall = time.perf_counter() - start
         if best_wall is None or wall < best_wall:
             best_wall = wall
             best_run = run
-    return best_wall, best_run
+        if best_simulation is None or wall - fire[0] < best_simulation:
+            best_simulation = wall - fire[0]
+            best_fire = fire[0]
+    return best_wall, best_simulation, best_fire, best_run
 
 
 @pytest.fixture(scope="module")
@@ -309,18 +343,28 @@ def steady_sweep():
     """fig6/fig7 at STEADY_ITERATIONS, steady-state off vs auto."""
     sweep = {}
     for fig, build_system in (("fig6", _fig6_system), ("fig7", _fig7_system)):
-        wall_off, run_off = _steady_measure(build_system, "off")
-        wall_auto, run_auto = _steady_measure(build_system, "auto")
+        wall_off, sim_off, fire_off, run_off = _steady_measure(
+            build_system, "off"
+        )
+        wall_auto, sim_auto, fire_auto, run_auto = _steady_measure(
+            build_system, "auto"
+        )
         # one instrumented off run counts the kernel events the auto
         # run gets to skip — the "effective events/sec" numerator
         events_off = build_system().run(
-            iterations=STEADY_ITERATIONS, metrics=True
+            iterations=STEADY_ITERATIONS, metrics=True, steady_state="off"
         ).metrics["simulator"]["events_processed"]
         sweep[fig] = {
             "iterations": STEADY_ITERATIONS,
             "off_wall_seconds": wall_off,
             "auto_wall_seconds": wall_auto,
             "speedup": wall_off / wall_auto if wall_auto > 0 else 0.0,
+            "off_fire_seconds": fire_off,
+            "auto_fire_seconds": fire_auto,
+            "off_simulation_seconds": sim_off,
+            "auto_simulation_seconds": sim_auto,
+            # wall outside the host kernels, which both modes run in full
+            "simulation_speedup": sim_off / sim_auto if sim_auto > 0 else 0.0,
             "events_off": events_off,
             "events_per_second_off": (
                 events_off / wall_off if wall_off > 0 else 0.0
@@ -337,19 +381,26 @@ def steady_sweep():
             ),
             "detected_period_cycles": run_auto.detected_period_cycles,
             "extrapolated_iterations": run_auto.extrapolated_iterations,
+            "compiled_firings_off": run_off.compiled_firings,
             "compiled_firings": run_auto.compiled_firings,
         }
     return sweep
 
 
 def test_steady_state_report(steady_sweep):
-    rows = ["fig   off wall   auto wall  speedup  detected  extrapolated"]
+    rows = [
+        "fig   off wall   auto wall  speedup  off sim   auto sim  "
+        "sim speedup  detected  extrapolated"
+    ]
     for fig, stats in sorted(steady_sweep.items()):
         detected = stats["detected_at"]
         rows.append(
             f"{fig:<5} {stats['off_wall_seconds']:>8.3f}s"
             f" {stats['auto_wall_seconds']:>8.3f}s"
             f" {stats['speedup']:>7.1f}x"
+            f" {stats['off_simulation_seconds']:>7.3f}s"
+            f" {stats['auto_simulation_seconds']:>8.3f}s"
+            f" {stats['simulation_speedup']:>10.1f}x"
             f"  {'-' if detected is None else detected:>8}"
             f"  {stats['extrapolated_iterations']:>12}"
         )
@@ -358,9 +409,11 @@ def test_steady_state_report(steady_sweep):
 
 def test_steady_state_bit_identical_results(steady_sweep):
     """Extrapolation is exact, not approximate: same final cycle count
-    and per-iteration period whether the tail was simulated or warped."""
+    and per-iteration period whether the tail was simulated or warped,
+    and the same number of kernel firings (the warp skips no kernel)."""
     for fig, stats in steady_sweep.items():
         assert stats["cycles_off"] == stats["cycles_auto"], fig
+        assert stats["compiled_firings_off"] == stats["compiled_firings"], fig
 
 
 def test_steady_state_arms_only_when_declared(steady_sweep):
@@ -376,9 +429,10 @@ def test_steady_state_arms_only_when_declared(steady_sweep):
 
 
 def test_steady_state_speedup(steady_sweep):
-    """In-test floor, looser than the committed-baseline gate in
-    check_kernel_regression.py so a noisy CI runner cannot flake it."""
-    assert steady_sweep["fig6"]["speedup"] >= 2.0
+    """In-test floor on the wall time outside the host kernels, looser
+    than the committed-baseline gate in check_kernel_regression.py so a
+    noisy CI runner cannot flake it."""
+    assert steady_sweep["fig6"]["simulation_speedup"] >= 2.0
 
 
 def test_kernel_bench_export(kernel_sweep, steady_sweep):

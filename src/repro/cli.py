@@ -36,6 +36,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import Figure, render_table
+from repro.dataflow.graph import GraphError
 from repro.platform import VIRTEX4_SX35
 from repro.spi import SpiConfig, SpiSystem
 
@@ -204,22 +205,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
     compiled = SpiSystem.compile(
         system.graph, system.partition, SpiConfig(transport=args.transport)
     )
-    # Extrapolated iterations record no task intervals, so steady-state
-    # runs skip the execution trace (and the Chrome-trace export).
-    want_trace = args.steady_state == "off"
-    run = compiled.run(
-        iterations=args.iterations,
-        trace=want_trace,
-        metrics=True,
-        steady_state=args.steady_state,
-    )
-    print(render_metrics_summary(run.metrics))
-    if args.trace_out and run.trace is None:
-        print(
-            "note: --trace-out ignored (steady-state runs record no "
-            "execution trace)"
+    # Extrapolated iterations record no task intervals: a requested trace
+    # makes "auto" decline, so the trace is complete ("on" refuses).
+    try:
+        run = compiled.run(
+            iterations=args.iterations,
+            trace=args.trace_out is not None,
+            metrics=True,
+            steady_state=args.steady_state,
         )
-    elif args.trace_out:
+    except GraphError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(render_metrics_summary(run.metrics))
+    if args.trace_out:
         path = write_json(
             args.trace_out,
             chrome_trace(
@@ -497,11 +496,12 @@ def build_parser() -> argparse.ArgumentParser:
             )
             command.add_argument(
                 "--steady-state", choices=("on", "off", "auto"),
-                default="off",
+                default="auto",
                 help=(
                     "periodic-phase extrapolation: detect the steady "
-                    "state and skip whole periods analytically "
-                    "(disables the execution trace; default off)"
+                    "state and skip whole periods' timing analytically "
+                    "(auto declines when --trace-out is given; "
+                    "default auto)"
                 ),
             )
         if name == "conform":

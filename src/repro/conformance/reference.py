@@ -4,7 +4,9 @@ This is the semantic ground truth the differential oracles compare
 against: a direct interpreter that fires the PASS (periodic admissible
 sequential schedule) of the case's graph, moving tokens through plain
 FIFOs with no timing model, no protocols and no message passing — just
-SDF firing rules.  Dynamic graphs are VTS-converted first (rates become
+SDF firing rules.  The firing loop is :class:`~repro.dataflow.sdf
+.PassProgram`, the same one that completes the warped iterations of a
+steady-state SPI run.  Dynamic graphs are VTS-converted first (rates become
 1/1 packed tokens), and because the conversion *wraps* the original
 kernels, the shared :class:`~repro.conformance.spec.TokenTap` still
 observes the raw token streams, directly comparable to the SPI and MPI
@@ -17,7 +19,7 @@ from collections import deque
 from typing import Dict, List
 
 from repro.conformance.spec import ConformanceCase
-from repro.dataflow.sdf import build_pass
+from repro.dataflow.sdf import PassProgram, PassStarvedError
 from repro.dataflow.vts import vts_convert
 
 __all__ = ["ReferenceError", "run_reference"]
@@ -40,52 +42,19 @@ def run_reference(
     graph = case.graph
     if graph.is_dynamic:
         graph = vts_convert(graph).graph
-    schedule = build_pass(graph)
 
-    fifos: Dict[int, deque] = {}
+    fifos = {}
     for edge in graph.edges:
         initial = edge.initial_tokens
         if initial is None:
             initial = [None] * edge.delay
         fifos[edge.edge_id] = deque(initial)
 
-    firing_counts: Dict[str, int] = {actor.name: 0 for actor in graph.actors}
     case.tap.begin(label)
-    for _ in range(iterations):
-        for actor in schedule:
-            index = firing_counts[actor.name]
-            # Pop per member edge (a gather/reduce sink port has several
-            # in-edges); assemble per port via the owning connection.
-            branch_pops: Dict[str, List[tuple]] = {}
-            for edge in graph.in_edges(actor):
-                fifo = fifos[edge.edge_id]
-                rate = edge.cons_rate
-                if len(fifo) < rate:
-                    raise ReferenceError(
-                        f"PASS starved: {actor.name} firing {index} needs "
-                        f"{rate} tokens on {edge.name!r}, has {len(fifo)}"
-                    )
-                values = [fifo.popleft() for _ in range(rate)]
-                branch_pops.setdefault(edge.sink.name, []).append(
-                    (edge.branch_index, edge.connection, values)
-                )
-            consumed: Dict[str, list] = {}
-            for port_name, branches in branch_pops.items():
-                branches.sort(key=lambda item: item[0])
-                connection = branches[0][1]
-                if connection is None or len(branches) == 1 and (
-                    connection.kind != connection.REDUCE
-                ):
-                    consumed[port_name] = branches[0][2]
-                else:
-                    consumed[port_name] = connection.assemble(
-                        [values for _, _, values in branches]
-                    )
-            produced = actor.fire(index, consumed)
-            for edge in graph.out_edges(actor):
-                tokens = produced[edge.source.name]
-                if edge.connection is not None:
-                    tokens = edge.connection.produced_tokens(edge, tokens)
-                fifos[edge.edge_id].extend(tokens)
-            firing_counts[actor.name] = index + 1
+    try:
+        PassProgram(graph).run(
+            fifos, {actor.name: 0 for actor in graph.actors}, iterations
+        )
+    except PassStarvedError as exc:
+        raise ReferenceError(str(exc)) from exc
     return case.tap.streams(label)

@@ -10,7 +10,10 @@ Implements the classic Lee/Messerschmitt machinery the paper relies on:
   exists;
 * **PASS construction** — a periodic admissible sequential schedule is
   built by demand-free symbolic execution; failure to complete one
-  iteration proves deadlock.
+  iteration proves deadlock;
+* **PASS execution** — :class:`PassProgram` fires a PASS over real token
+  FIFOs with no timing model (the conformance reference interpreter and
+  the completion of steady-state-warped runs).
 
 Dynamic graphs must be VTS-converted first (:func:`repro.dataflow.vts
 .vts_convert`); all functions below reject dynamic ports explicitly.
@@ -20,14 +23,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.dataflow.graph import Actor, DataflowGraph, GraphError
+from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
 
 __all__ = [
     "SdfError",
     "InconsistentGraphError",
     "DeadlockError",
+    "PassStarvedError",
+    "PassProgram",
     "repetitions_vector",
     "is_consistent",
     "build_pass",
@@ -45,6 +50,10 @@ class InconsistentGraphError(SdfError):
 
 class DeadlockError(SdfError):
     """The graph is consistent but cannot complete a full iteration."""
+
+
+class PassStarvedError(SdfError):
+    """A PASS firing found fewer tokens on an input edge than it consumes."""
 
 
 def _require_static(graph: DataflowGraph) -> None:
@@ -205,3 +214,141 @@ def build_pass(
                 f"after one iteration"
             )
     return schedule
+
+
+class PassProgram:
+    """A PASS with its edge wiring resolved, ready to fire over FIFOs.
+
+    ``schedule`` is the PASS firing sequence (default
+    :func:`build_pass`).  Per actor, the input edges are grouped by
+    sink port in ``branch_index`` order: a port fed by several member
+    edges (gather/reduce), or by a reduce connection, is assembled by
+    its :class:`~repro.dataflow.graph.Connection`; every output edge
+    receives ``connection.produced_tokens`` of its port's tokens, so a
+    broadcast copies and a scatter slices.
+    """
+
+    def __init__(
+        self,
+        graph: DataflowGraph,
+        schedule: Optional[Sequence[Actor]] = None,
+    ) -> None:
+        self.graph = graph
+        self.schedule: List[Actor] = (
+            list(schedule) if schedule is not None else build_pass(graph)
+        )
+        ins: Dict[str, Dict[str, List[Edge]]] = {a.name: {} for a in graph.actors}
+        outs: Dict[str, List[Edge]] = {a.name: [] for a in graph.actors}
+        for edge in graph.edges:
+            ins[edge.snk_actor.name].setdefault(edge.sink.name, []).append(edge)
+            outs[edge.src_actor.name].append(edge)
+        #: actor name -> (actor, ((port, member edges, assembling
+        #: connection or None), ...), out edges)
+        self._wiring: Dict[str, tuple] = {}
+        for actor in graph.actors:
+            ports = []
+            for port, edges in ins[actor.name].items():
+                edges.sort(key=lambda e: e.branch_index)
+                connection = edges[0].connection
+                assemble = connection is not None and (
+                    len(edges) > 1 or connection.kind == connection.REDUCE
+                )
+                ports.append(
+                    (port, tuple(edges), connection if assemble else None)
+                )
+            self._wiring[actor.name] = (
+                actor, tuple(ports), tuple(outs[actor.name])
+            )
+
+    def run(
+        self,
+        fifos: Dict[int, Deque],
+        firing_counts: Dict[str, int],
+        iterations: int,
+        forward: Collection[str] = (),
+    ) -> None:
+        """Fire ``iterations`` passes, moving tokens through ``fifos``.
+
+        ``fifos`` maps every edge id to its token deque.  Each firing
+        calls ``actor.fire(firing_counts[actor.name], consumed)`` and
+        advances the count; an actor named in ``forward`` (one input
+        edge) runs no kernel and passes the tokens it consumes to its
+        output edges unchanged.  Raises :class:`PassStarvedError` when a
+        firing finds too few tokens (the FIFOs were not in a state the
+        PASS can start from).
+        """
+
+        def starved(name: str, fifo: Deque, rate: int, edge: Edge):
+            return PassStarvedError(
+                f"PASS starved: {name} firing {firing_counts[name]} needs "
+                f"{rate} tokens on {edge.name!r}, has {len(fifo)}"
+            )
+
+        # bind this run's deques to the wiring once, not per firing;
+        # only scatter edges need their share of the tokens sliced out
+        bound = {}
+        for name, (actor, ports, out_edges) in self._wiring.items():
+            inputs = tuple(
+                (
+                    port,
+                    tuple((fifos[e.edge_id], e.cons_rate, e) for e in edges),
+                    connection,
+                )
+                for port, edges, connection in ports
+            )
+            outputs = tuple(
+                (
+                    e.source.name,
+                    fifos[e.edge_id],
+                    e
+                    if e.connection is not None
+                    and e.connection.kind == e.connection.SCATTER
+                    else None,
+                )
+                for e in out_edges
+            )
+            if name in forward:
+                ((_, (branch,), _),) = inputs
+                bound[name] = (None, branch, outputs)
+            else:
+                bound[name] = (actor, inputs, outputs)
+        steps = [(actor.name,) + bound[actor.name] for actor in self.schedule]
+        for _ in range(iterations):
+            for name, actor, inputs, outputs in steps:
+                if actor is None:
+                    fifo, rate, edge = inputs
+                    if len(fifo) < rate:
+                        raise starved(name, fifo, rate, edge)
+                    tokens = [fifo.popleft() for _ in range(rate)]
+                    for _, fifo, scatter in outputs:
+                        fifo.extend(
+                            tokens
+                            if scatter is None
+                            else scatter.connection.produced_tokens(
+                                scatter, tokens
+                            )
+                        )
+                    firing_counts[name] += 1
+                    continue
+                consumed: Dict[str, list] = {}
+                for port, branches, connection in inputs:
+                    values = []
+                    for fifo, rate, edge in branches:
+                        if len(fifo) < rate:
+                            raise starved(name, fifo, rate, edge)
+                        values.append([fifo.popleft() for _ in range(rate)])
+                    consumed[port] = (
+                        values[0]
+                        if connection is None
+                        else connection.assemble(values)
+                    )
+                produced = actor.fire(firing_counts[name], consumed)
+                for port, fifo, scatter in outputs:
+                    fifo.extend(
+                        produced[port]
+                        if scatter is None
+                        else scatter.connection.produced_tokens(
+                            scatter, produced[port]
+                        )
+                    )
+                firing_counts[name] += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.dataflow.graph import DataflowGraph, GraphError
+from repro.dataflow.graph import Actor, DataflowGraph, GraphError
 from repro.dataflow.hsdf import hsdf_expand, invocation_name
 from repro.dataflow.sdf import build_pass, repetitions_vector
 from repro.mapping.partition import Partition
@@ -46,6 +46,9 @@ class SelfTimedSchedule:
     orders: Dict[int, List[str]]
     task_graph: DataflowGraph
     task_pe: Dict[str, int] = field(default_factory=dict)
+    #: the PASS of ``graph`` the orders were derived from (one entry per
+    #: firing of one iteration)
+    pass_firings: Tuple[Actor, ...] = ()
 
     def pe_of_task(self, task_name: str) -> int:
         return self.task_pe[task_name]
@@ -117,6 +120,7 @@ class TaskPlan:
     task_graph: DataflowGraph
     task_sequence: Tuple[str, ...]
     homogeneous: bool
+    pass_firings: Tuple[Actor, ...] = ()
 
 
 def task_plan(graph: DataflowGraph) -> TaskPlan:
@@ -144,6 +148,7 @@ def task_plan(graph: DataflowGraph) -> TaskPlan:
         task_graph=task_graph,
         task_sequence=task_sequence,
         homogeneous=homogeneous,
+        pass_firings=tuple(pass_firings),
     )
 
 
@@ -183,6 +188,7 @@ def build_selftimed_schedule(
         orders=orders,
         task_graph=task_graph,
         task_pe=task_pe,
+        pass_firings=plan.pass_firings,
     )
     schedule.validate()
     return schedule

@@ -85,10 +85,3 @@ class ObservabilityHub:
 
     def messages_of(self, channel: str) -> List[MessageRecord]:
         return [m for m in self.messages if m.channel == channel]
-
-    def byte_split(self) -> dict:
-        """Total wire bytes by message kind (data vs synchronization)."""
-        split: dict = {}
-        for record in self.messages:
-            split[record.kind] = split.get(record.kind, 0) + record.nbytes
-        return split

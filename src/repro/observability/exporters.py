@@ -52,10 +52,18 @@ Metrics JSON schema (``repro.metrics/1``)::
                     "wire_bytes_saved",       # logical - wire (shared payload)
                     "channels": [{"channel", "messages", "bytes",
                                   "queueing_cycles", "contention_cycles"}]},
-      "sync_pools": [{"name", "messages_sent", "high_water"}],
-      "wire_byte_split": {kind: bytes},
+      "sync_pools": [{"name", "messages_sent", "bytes", "high_water"}],
+      "wire_byte_split": {kind: bytes},     # data / ack / resync
       "counters": <MetricsRegistry.as_dict()>
     }
+
+Under a steady-state warp every run, PE, channel, transport, pool and
+``wire_byte_split`` figure covers the whole run, extrapolated
+iterations included (bit-identical to the fully simulated run).  Two
+parts cover only the simulated iterations: the simulator's effort
+counters (``events_processed``, parks, wakeups) and the per-message
+observations of the hub — the message log and the ``link.messages`` /
+``link.bytes`` / ``link.queueing_cycles`` entries of ``counters``.
 """
 
 from __future__ import annotations
@@ -65,6 +73,7 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro.observability.metrics import METRICS_SCHEMA
+from repro.spi.message import ACK_BYTES
 
 __all__ = [
     "MetricsValidationError",
@@ -87,6 +96,24 @@ def _channel_stall_cycles(pes, task_names) -> int:
             if base in task_names:
                 total += cycles
     return total
+
+
+def _wire_byte_split(result, channels, transport) -> Dict[str, int]:
+    """Wire bytes by message kind, from the run's (extrapolated) totals.
+
+    Data messages are what the transport carried; acknowledgments and
+    resynchronization tokens ride control links outside it.
+    """
+    split: Dict[str, int] = {}
+    if transport.messages:
+        split["data"] = transport.bytes
+    if any(channel.stats.ack_messages for channel in channels.values()):
+        split["ack"] = sum(
+            channel.stats.ack_bytes for channel in channels.values()
+        )
+    if result.resync_messages:
+        split["resync"] = result.resync_bytes
+    return split
 
 
 def build_metrics_document(
@@ -217,11 +244,12 @@ def build_metrics_document(
             {
                 "name": pool.name,
                 "messages_sent": pool.messages_sent,
+                "bytes": pool.messages_sent * ACK_BYTES,
                 "high_water": pool.high_water,
             }
             for pool in sync_pools
         ],
-        "wire_byte_split": hub.byte_split() if hub is not None else {},
+        "wire_byte_split": _wire_byte_split(result, channels, transport),
         "counters": (
             hub.registry.as_dict()
             if hub is not None
@@ -250,7 +278,9 @@ def validate_metrics(document: Dict[str, object]) -> None:
     channel's observed occupancy ever exceeded its compile-time bound:
     at most ``B(e)`` queued messages plus the one in flight through
     SPI_receive, and never more buffered bytes than the allocated
-    capacity.  Raises :class:`MetricsValidationError` on any violation.
+    capacity.  The wire-byte split must add up to the channel traffic
+    (less the bytes collectives saved) plus the resynchronization
+    tokens.  Raises :class:`MetricsValidationError` on any violation.
     """
     if document.get("schema") != METRICS_SCHEMA:
         raise MetricsValidationError(
@@ -378,6 +408,17 @@ def validate_metrics(document: Dict[str, object]) -> None:
         raise MetricsValidationError(
             f"transport: wire_bytes_saved {saved} exceeds the logical "
             f"channel traffic {logical_bytes}B it is saved from"
+        )
+    split_total = sum(document["wire_byte_split"].values())
+    ack_bytes = sum(channel["ack_bytes"] for channel in document["channels"])
+    resync_bytes = sum(pool["bytes"] for pool in document["sync_pools"])
+    expected = logical_bytes - saved + ack_bytes + resync_bytes
+    if split_total != expected:
+        raise MetricsValidationError(
+            f"wire_byte_split sums to {split_total}B, but the channels "
+            f"carried {logical_bytes - saved}B of data ({saved}B saved by "
+            f"collectives) and {ack_bytes}B of acks, and the sync pools "
+            f"{resync_bytes}B"
         )
 
 

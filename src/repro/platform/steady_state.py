@@ -31,6 +31,15 @@ detection window already observed).  Kernel-effort counters
 extrapolated — they report the work actually simulated, which is the
 point of the speedup.
 
+The warp skips *timing*, not *values*: the runtime fires the skipped
+iterations' kernels afterwards in PASS order (see
+:meth:`repro.spi.SpiSystem.run`), so a warped run's outputs are those of
+the full run.
+
+Confirmation fixes the shortest run that can warp
+(:func:`min_warp_iterations`), and the runtime arms only runs at least
+that long.
+
 What must be in the state hash (and why) is documented in DESIGN.md
 §4e; the short version: anything that influences any future event time
 or counter, expressed relative to the current time, including every
@@ -49,7 +58,23 @@ __all__ = [
     "ObjectMapMeter",
     "SteadyStateReport",
     "SteadyStateTracker",
+    "min_warp_iterations",
 ]
+
+
+def min_warp_iterations(hinted: bool) -> int:
+    """Fewest run iterations in which the tracker can ever warp.
+
+    Boundaries are hashed when the reference PE finishes iteration
+    ``k = 1, 2, ...``.  A warp needs the state at some boundary to recur
+    twice, one period ``P >= 1`` apart each time — once with a cached
+    period hint — so it comes at ``k >= 3`` (``k >= 2`` hinted).  It must
+    then skip at least one whole period while the last iteration still
+    simulates: ``iterations - k - 1 >= P >= 1``.  Hence 5 iterations, or
+    4 with a hint.
+    """
+    confirmations = 1 if hinted else 2
+    return 1 + confirmations + 2
 
 
 class AttrMeter:
@@ -204,8 +229,10 @@ class SteadyStateTracker:
         # full state tuples (exact equality — no collision risk) ->
         # (iteration, time, per-meter counter snapshots)
         self._seen: Dict[Hashable, Tuple[int, int, List[Dict]]] = {}
-        # (expected confirmation iteration, P, T, per-meter deltas)
-        self._candidate: Optional[Tuple[int, int, int, List[Dict]]] = None
+        # expected confirmation iteration -> (P, T, per-meter deltas);
+        # one pending candidate per recurring boundary, so a period of
+        # P > 1 iterations confirms as well as P = 1
+        self._candidates: Dict[int, Tuple[int, int, List[Dict]]] = {}
         self._inflight: Dict[Tuple[Hashable, int], int] = {}
 
     # -- in-flight message multiset (fed by Simulator.schedule_delivery) --
@@ -264,6 +291,7 @@ class SteadyStateTracker:
 
         prev = self._seen.get(state)
         snaps = self._snapshots()
+        candidate = self._candidates.pop(k, None)
         if prev is not None:
             prev_k, prev_now, prev_snaps = prev
             period = k - prev_k
@@ -272,17 +300,10 @@ class SteadyStateTracker:
             if self.hint is not None and self.hint == (period, cycles):
                 if self._warp(k, period, cycles, deltas, hint_used=True):
                     return
-            cand = self._candidate
-            if (
-                cand is not None
-                and cand[0] == k
-                and cand[1] == period
-                and cand[2] == cycles
-                and cand[3] == deltas
-            ):
+            if candidate == (period, cycles, deltas):
                 if self._warp(k, period, cycles, deltas, hint_used=False):
                     return
-            self._candidate = (k + period, period, cycles, deltas)
+            self._candidates[k + period] = (period, cycles, deltas)
         self._seen[state] = (k, now, snaps)
         if report.boundaries_hashed >= self.max_window:
             # aperiodic within the window (or transient longer than it):

@@ -21,10 +21,12 @@ simulator (``run``), or prices it on the FPGA resource model
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.dataflow.graph import Actor, DataflowGraph, Edge, GraphError
+from repro.dataflow.sdf import PassProgram
 from repro.dataflow.vts import VtsConversion, vts_convert
 from repro.mapping.ipc_graph import build_ipc_graph
 from repro.mapping.mcm import McmResult, maximum_cycle_mean_result
@@ -47,6 +49,7 @@ from repro.platform.fpga import (
 from repro.platform.interconnect import Interconnect, LinkSpec
 from repro.platform.pe import ProcessingElement
 from repro.platform.simulator import PESequencer, Simulator
+from repro.platform.steady_state import min_warp_iterations
 from repro.platform.trace import TraceRecorder
 from repro.spi import resources as spi_resources
 from repro.spi.actors import (
@@ -161,9 +164,9 @@ class RunResult:
     #: (:class:`repro.platform.steady_state.SteadyStateReport`; None
     #: when detection was not armed for this run)
     steady_state: Optional[object] = None
-    #: computation-actor firings simulated through
-    #: :class:`repro.spi.actors.ComputationTask` (extrapolated
-    #: iterations excluded)
+    #: computation-actor firings of the run: those simulated through
+    #: :class:`repro.spi.actors.ComputationTask` plus those of the
+    #: warped iterations, fired in PASS order after the simulation
     compiled_firings: int = 0
     #: wire transfers performed by collective (broadcast/scatter)
     #: connections — one per physical link use, not per consumer
@@ -268,6 +271,7 @@ class SpiSystem:
         self._analysis_key = analysis_key
         self._structure_key = structure_key
         self._task_repetitions: Optional[Dict[str, int]] = None
+        self._pass_program: Optional[PassProgram] = None
         self._mcm_result: Optional[McmResult] = None
 
     # -- compilation -------------------------------------------------------
@@ -565,7 +569,7 @@ class SpiSystem:
         trace: bool = False,
         metrics: bool = False,
         check_lost_wakeups: bool = False,
-        steady_state: str = "off",
+        steady_state: str = "auto",
     ) -> RunResult:
         """Simulate ``iterations`` graph iterations; returns the metrics.
 
@@ -583,25 +587,38 @@ class SpiSystem:
 
         ``steady_state`` controls periodic-phase extrapolation (see
         :mod:`repro.platform.steady_state`): ``"off"`` simulates every
-        iteration; ``"auto"`` arms detection when the system is
-        eligible — state-determined timing (see
-        :meth:`steady_state_opaque_actors`), no trace capture, and a
-        run long enough to possibly warp — and silently runs
-        interpreted otherwise; ``"on"`` forces arming and raises
+        iteration; ``"auto"`` (the default) arms detection when the
+        system is eligible — state-determined timing (see
+        :meth:`steady_state_opaque_actors`), unbatched, no trace
+        capture, and at least
+        :func:`~repro.platform.steady_state.min_warp_iterations`
+        iterations (5, or 4 with a cached period hint) — and silently
+        runs interpreted otherwise; ``"on"`` forces arming and raises
         :class:`GraphError` for ineligible systems.  A warp requires
         an exact kernel-state recurrence confirmed over a full second
         period with identical counter deltas, so makespan, per-channel
         traffic, occupancy high-water marks and the iteration period
         of an extrapolated run are bit-identical to the fully
-        interpreted run.  Kernel-effort counters (events, parks,
-        wakeups) and the message log cover only the actually-simulated
-        prefix and tail.
+        interpreted run.
+
+        A warped run's outputs are complete: once the simulation
+        drains, every task has finished the same number of whole
+        iterations, so every local FIFO holds exactly its delay tokens
+        and every channel is empty (checked; a violation raises
+        :class:`GraphError`).  From there the skipped iterations'
+        kernels fire in PASS order with their continuing firing
+        indices — no event kernel, transport, statistics or waitsets —
+        and by Kahn determinacy produce exactly the token values of
+        the full run.  Kernel-effort counters (events, parks, wakeups),
+        the message log and the per-message ``link.*`` counters cover
+        only the simulated iterations.
         """
         if iterations < 1:
             raise GraphError("iterations must be >= 1")
         if steady_state not in ("off", "auto", "on"):
             raise GraphError(f"unknown steady_state mode {steady_state!r}")
         arm_steady = False
+        hint = None
         if steady_state == "on":
             if trace:
                 raise GraphError(
@@ -622,13 +639,20 @@ class SpiSystem:
                     f"declare params['timing_periodic']: {sorted(opaque)}"
                 )
             arm_steady = True
-        elif steady_state == "auto":
-            arm_steady = (
-                not trace
-                and self.batch == 1
-                and iterations >= 3
-                and not self.steady_state_opaque_actors()
-            )
+            hint = self._period_hint()
+        elif (
+            steady_state == "auto"
+            and not trace
+            and self.batch == 1
+            and iterations >= min_warp_iterations(hinted=True)
+            and not self.steady_state_opaque_actors()
+        ):
+            # one iteration short of the unhinted minimum only a cached
+            # period can warp; a cache that holds none is not asked
+            unhinted = iterations >= min_warp_iterations(hinted=False)
+            if unhinted or getattr(self._analysis_cache, "holds_periods", False):
+                hint = self._period_hint()
+            arm_steady = unhinted or hint is not None
         hub = None
         if metrics:
             from repro.observability import ObservabilityHub
@@ -783,6 +807,9 @@ class SpiSystem:
         # those edges made redundant would be unsound.
         for actor in graph.actors:
             task_for(actor)
+        # the unwrapped task of every actor: its firing_index is where a
+        # warped run's PASS completion continues
+        actor_tasks = dict(tasks_by_actor)
         sync_pools: List[SyncTokenPool] = []
         if self.resync_result is not None:
             task_reps = self.task_repetitions()
@@ -854,6 +881,7 @@ class SpiSystem:
                 interconnect=interconnect,
                 transport=transport,
                 iterations=iterations,
+                hint=hint,
             )
 
         for sequencer in sequencers:
@@ -868,6 +896,15 @@ class SpiSystem:
             )
 
         steady_report = tracker.report if tracker is not None else None
+        if steady_report is not None and steady_report.extrapolated_iterations:
+            self._fire_warped_iterations(
+                steady_report.extrapolated_iterations,
+                iterations,
+                sequencers,
+                channels,
+                fifos,
+                actor_tasks,
+            )
         extra_cycles = (
             steady_report.extrapolated_cycles if steady_report is not None else 0
         )
@@ -965,6 +1002,7 @@ class SpiSystem:
         interconnect: Interconnect,
         transport,
         iterations: int,
+        hint: Optional[Tuple[int, int]] = None,
     ):
         """Wire a :class:`SteadyStateTracker` into this run.
 
@@ -1136,12 +1174,6 @@ class SpiSystem:
             )
         )
 
-        hint = None
-        if self._analysis_cache is not None:
-            lookup = getattr(self._analysis_cache, "period_hint", None)
-            if lookup is not None:
-                hint = lookup(self._period_cache_key())
-
         tracker = SteadyStateTracker(
             sim=sim,
             sequencers=sequencers,
@@ -1153,6 +1185,69 @@ class SpiSystem:
         sim.state_probe = tracker
         ref.on_iteration = tracker.on_iteration_boundary
         return tracker
+
+    def _fire_warped_iterations(
+        self,
+        skipped: int,
+        iterations: int,
+        sequencers: List[PESequencer],
+        channels: Dict[str, SpiChannel],
+        fifos: Dict[int, LocalFifo],
+        actor_tasks: Dict[str, object],
+    ) -> None:
+        """Produce the token values of the ``skipped`` warped iterations.
+
+        The warp shortened every sequencer's run by ``skipped`` whole
+        iterations, so the drained simulation must sit exactly at an
+        iteration boundary: local FIFOs at their delay tokens, channels
+        empty.  From that state the PASS fires the remaining iterations
+        on the bare token deques; SPI send/receive actors forward their
+        tokens unchanged, and every actor continues its task's
+        ``firing_index``.
+        """
+        simulated = iterations - skipped
+        behind = [s.pe.name for s in sequencers if s.iteration != simulated]
+        if behind:
+            raise GraphError(
+                f"steady-state completion: sequencers {behind} did not "
+                f"finish exactly {simulated} iterations"
+            )
+        for fifo in fifos.values():
+            if len(fifo.tokens) != fifo.edge.delay:
+                raise GraphError(
+                    f"steady-state completion: fifo {fifo.edge.name!r} "
+                    f"holds {len(fifo.tokens)} tokens, expected its "
+                    f"{fifo.edge.delay} delay tokens"
+                )
+        for name, channel in channels.items():
+            if channel.arrived:
+                raise GraphError(
+                    f"steady-state completion: channel {name!r} still "
+                    f"holds {len(channel.arrived)} undelivered messages"
+                )
+
+        token_fifos = {edge_id: fifo.tokens for edge_id, fifo in fifos.items()}
+        for plan in self.channel_plans.values():
+            token_fifos[plan.ipc_edge.edge_id] = deque()
+        counts = {
+            name: task.firing_index for name, task in actor_tasks.items()
+        }
+        spi_actors = {
+            actor.name
+            for actor in self.insertion.graph.actors
+            if "spi_role" in actor.params
+        }
+        self.pass_program().run(token_fifos, counts, skipped, spi_actors)
+        for name, task in actor_tasks.items():
+            task.firing_index = counts[name]
+
+    def _period_hint(self) -> Optional[Tuple[int, int]]:
+        """The cached ``(period iterations, period cycles)`` of this
+        system's previous warped runs, if any."""
+        lookup = getattr(self._analysis_cache, "period_hint", None)
+        if lookup is None:
+            return None
+        return lookup(self._period_cache_key())
 
     def _period_cache_key(self) -> Optional[str]:
         """Content key for the cross-run period memo.
@@ -1228,8 +1323,6 @@ class SpiSystem:
         SPI_send actors — the same order the hardware's transaction
         controller would be programmed with.
         """
-        from repro.dataflow.sdf import build_pass
-
         # A collective send actor fires once per group transfer: all of
         # its per-branch plans share ONE bus slot, keyed by the group.
         send_to_key = {
@@ -1243,7 +1336,7 @@ class SpiSystem:
         }
         order = [
             send_to_key[actor.name]
-            for actor in build_pass(self.insertion.graph)
+            for actor in self.pass_program().schedule
             if actor.name in send_to_key
         ]
         if not order:
@@ -1296,6 +1389,17 @@ class SpiSystem:
             else:
                 self._task_repetitions = compute()
         return self._task_repetitions
+
+    def pass_program(self) -> PassProgram:
+        """The SPI-inserted graph's PASS, wired for firing (memoised).
+
+        Reuses the PASS the self-timed schedule was derived from.
+        """
+        if self._pass_program is None:
+            self._pass_program = PassProgram(
+                self.insertion.graph, self.schedule.pass_firings or None
+            )
+        return self._pass_program
 
     def mcm_result(self) -> McmResult:
         """Exact MCM of the post-resynchronization synchronization graph.

@@ -145,6 +145,14 @@ class TestValidation:
         with pytest.raises(MetricsValidationError, match="high-water"):
             validate_metrics(document)
 
+    def test_rejects_byte_split_off_the_traffic_totals(self):
+        document = small_system(policy="always_ubs").run(
+            iterations=3, metrics=True
+        ).metrics
+        document["wire_byte_split"]["ack"] += 1
+        with pytest.raises(MetricsValidationError, match="wire_byte_split"):
+            validate_metrics(document)
+
     def test_rejects_fan_out_without_collective_transfers(self):
         document = small_system().run(iterations=3, metrics=True).metrics
         document["transport"]["fan_out_deliveries"] = 2

@@ -14,6 +14,7 @@ import pytest
 
 from repro.conformance import GraphShape, build_case, generate_spec
 from repro.dataflow.graph import GraphError
+from repro.platform.steady_state import min_warp_iterations
 from repro.service import AnalysisCache
 from repro.spi import SpiSystem
 
@@ -114,10 +115,69 @@ def test_declared_periodic_timing_is_eligible():
     assert result.extrapolated_iterations > 0
 
 
-def test_too_few_iterations_decline():
-    """Below three iterations there is nothing to extrapolate."""
-    result = _system(0).run(iterations=2, steady_state="auto")
-    assert result.steady_state is None
+def test_auto_arms_from_the_confirmation_minimum():
+    """Without a hint a period confirms at the third boundary at the
+    earliest, and a whole period must still be left to skip before the
+    last iteration: auto arms (and here warps) at 5 iterations, not 4."""
+    minimum = min_warp_iterations(hinted=False)
+    assert minimum == 5
+    system = _system(0)
+    assert system.run(iterations=minimum - 1).steady_state is None
+    at_minimum = system.run(iterations=minimum)
+    assert at_minimum.steady_state is not None
+    assert at_minimum.extrapolated_iterations > 0
+
+
+def test_period_hint_lowers_the_minimum_by_one():
+    """With a cached period one recurrence confirms, so 4 iterations
+    can warp.  A cache that holds no period is not even asked at 4."""
+    minimum = min_warp_iterations(hinted=True)
+    fresh = AnalysisCache()
+    assert _system(0, cache=fresh).run(iterations=minimum).steady_state is None
+    assert fresh.misses["period"] == 0
+
+    cache = AnalysisCache()
+    _system(0, cache=cache).run(iterations=ITERATIONS)  # stores the hint
+    assert minimum == 4
+    system = _system(0, cache=cache)
+    assert system.run(iterations=minimum - 1).steady_state is None
+    at_minimum = system.run(iterations=minimum)
+    assert at_minimum.steady_state.hint_used
+    assert at_minimum.extrapolated_iterations > 0
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_nothing_warps_below_the_minimum(seed):
+    """Forced arming one iteration short of the minimum never warps,
+    hinted or not: the minimum is a property of the tracker, not a
+    tuning choice."""
+    cache = AnalysisCache()
+    unhinted = _system(seed, cache=cache).run(
+        iterations=min_warp_iterations(hinted=False) - 1, steady_state="on"
+    )
+    assert unhinted.extrapolated_iterations == 0
+    _system(seed, cache=cache).run(iterations=ITERATIONS)
+    hinted = _system(seed, cache=cache).run(
+        iterations=min_warp_iterations(hinted=True) - 1, steady_state="on"
+    )
+    assert hinted.extrapolated_iterations == 0
+
+
+def test_multi_iteration_period_confirms():
+    """Frames of different sizes repeat every ``len(frames)``
+    iterations: the period spans three iterations and must still be
+    confirmed (not only single-iteration periods)."""
+    from repro.apps.lpc import build_parallel_error_graph, frame_stream
+
+    frames = [
+        frame_stream(total_samples=n, frame_size=n, seed=7 + i)[0]
+        for i, n in enumerate((256, 192, 320))
+    ]
+    system = build_parallel_error_graph(frames, order=8, n_units=3)
+    compiled = SpiSystem.compile(system.graph, system.partition)
+    result = compiled.run(iterations=ITERATIONS)
+    assert result.detected_period_iterations == 3
+    assert result.extrapolated_iterations > 0
 
 
 def test_period_hint_shortens_confirmation():

@@ -119,6 +119,40 @@ class TestRunCommand:
         ) == 0
         assert "channels:" in capsys.readouterr().out
 
+    def test_run_steady_state_defaults_to_auto(self, capsys, tmp_path):
+        """Without --trace-out the default warps a periodic app; with it
+        auto declines, so the trace covers every iteration."""
+        import json
+
+        assert build_parser().parse_args(
+            ["run", "--app", "lpc"]
+        ).steady_state == "auto"
+        metrics_path = tmp_path / "metrics.json"
+        argv = ["run", "--app", "lpc", "--pes", "2", "--iterations", "8",
+                "--metrics-out", str(metrics_path)]
+        assert main(argv) == 0
+        assert "steady state: detected at iteration" in capsys.readouterr().out
+        warped = json.loads(metrics_path.read_text())
+        assert warped["simulator"]["extrapolated_iterations"] > 0
+
+        trace_path = tmp_path / "trace.json"
+        assert main(argv + ["--trace-out", str(trace_path)]) == 0
+        assert "wrote Chrome trace" in capsys.readouterr().out
+        traced = json.loads(metrics_path.read_text())
+        assert traced["simulator"]["extrapolated_iterations"] == 0
+        assert traced["run"]["cycles"] == warped["run"]["cycles"]
+        assert json.loads(trace_path.read_text())["traceEvents"]
+
+    def test_run_steady_state_on_with_trace_out_is_an_error(
+        self, capsys, tmp_path
+    ):
+        code = main(
+            ["run", "--app", "lpc", "--pes", "2", "--steady-state", "on",
+             "--trace-out", str(tmp_path / "trace.json")]
+        )
+        assert code == 2
+        assert "trace" in capsys.readouterr().err
+
 
 class TestRunErrorPaths:
     def test_missing_app_name_is_a_usage_error(self, capsys):
