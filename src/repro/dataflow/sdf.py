@@ -272,17 +272,11 @@ class PassProgram:
         ``fifos`` maps every edge id to its token deque.  Each firing
         calls ``actor.fire(firing_counts[actor.name], consumed)`` and
         advances the count; an actor named in ``forward`` (one input
-        edge) runs no kernel and passes the tokens it consumes to its
-        output edges unchanged.  Raises :class:`PassStarvedError` when a
+        port) runs no kernel and passes the tokens it consumes to its
+        output ports unchanged.  Raises :class:`PassStarvedError` when a
         firing finds too few tokens (the FIFOs were not in a state the
         PASS can start from).
         """
-
-        def starved(name: str, fifo: Deque, rate: int, edge: Edge):
-            return PassStarvedError(
-                f"PASS starved: {name} firing {firing_counts[name]} needs "
-                f"{rate} tokens on {edge.name!r}, has {len(fifo)}"
-            )
 
         # bind this run's deques to the wiring once, not per firing;
         # only scatter edges need their share of the tokens sliced out
@@ -307,42 +301,31 @@ class PassProgram:
                 )
                 for e in out_edges
             )
-            if name in forward:
-                ((_, (branch,), _),) = inputs
-                bound[name] = (None, branch, outputs)
-            else:
-                bound[name] = (actor, inputs, outputs)
+            bound[name] = (actor, inputs, outputs, name in forward)
         steps = [(actor.name,) + bound[actor.name] for actor in self.schedule]
         for _ in range(iterations):
-            for name, actor, inputs, outputs in steps:
-                if actor is None:
-                    fifo, rate, edge = inputs
-                    if len(fifo) < rate:
-                        raise starved(name, fifo, rate, edge)
-                    tokens = [fifo.popleft() for _ in range(rate)]
-                    for _, fifo, scatter in outputs:
-                        fifo.extend(
-                            tokens
-                            if scatter is None
-                            else scatter.connection.produced_tokens(
-                                scatter, tokens
-                            )
-                        )
-                    firing_counts[name] += 1
-                    continue
+            for name, actor, inputs, outputs, forwards in steps:
                 consumed: Dict[str, list] = {}
                 for port, branches, connection in inputs:
                     values = []
                     for fifo, rate, edge in branches:
                         if len(fifo) < rate:
-                            raise starved(name, fifo, rate, edge)
+                            raise PassStarvedError(
+                                f"PASS starved: {name} firing "
+                                f"{firing_counts[name]} needs {rate} tokens "
+                                f"on {edge.name!r}, has {len(fifo)}"
+                            )
                         values.append([fifo.popleft() for _ in range(rate)])
                     consumed[port] = (
                         values[0]
                         if connection is None
                         else connection.assemble(values)
                     )
-                produced = actor.fire(firing_counts[name], consumed)
+                if forwards:
+                    (tokens,) = consumed.values()
+                    produced = {port: tokens for port, _, _ in outputs}
+                else:
+                    produced = actor.fire(firing_counts[name], consumed)
                 for port, fifo, scatter in outputs:
                     fifo.extend(
                         produced[port]

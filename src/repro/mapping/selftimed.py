@@ -45,10 +45,10 @@ class SelfTimedSchedule:
     partition: Partition
     orders: Dict[int, List[str]]
     task_graph: DataflowGraph
-    task_pe: Dict[str, int] = field(default_factory=dict)
     #: the PASS of ``graph`` the orders were derived from (one entry per
     #: firing of one iteration)
-    pass_firings: Tuple[Actor, ...] = ()
+    pass_firings: Tuple[Actor, ...]
+    task_pe: Dict[str, int] = field(default_factory=dict)
 
     def pe_of_task(self, task_name: str) -> int:
         return self.task_pe[task_name]
@@ -120,7 +120,7 @@ class TaskPlan:
     task_graph: DataflowGraph
     task_sequence: Tuple[str, ...]
     homogeneous: bool
-    pass_firings: Tuple[Actor, ...] = ()
+    pass_firings: Tuple[Actor, ...]
 
 
 def task_plan(graph: DataflowGraph) -> TaskPlan:

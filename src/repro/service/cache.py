@@ -295,10 +295,6 @@ class AnalysisCache:
         self._memory: Dict[str, object] = {}
         self.hits: Dict[str, int] = {kind: 0 for kind in self.KINDS}
         self.misses: Dict[str, int] = {kind: 0 for kind in self.KINDS}
-        #: this cache has stored or served a steady-state period; until
-        #: then a :meth:`period_hint` lookup cannot hit, and a run that
-        #: only warps with a hint skips the lookup
-        self.holds_periods = False
 
     # -- keying ------------------------------------------------------------
 
@@ -433,7 +429,6 @@ class AnalysisCache:
         self._note("period", cached is not None)
         if cached is None:
             return None
-        self.holds_periods = True
         return (int(cached["iterations"]), int(cached["cycles"]))
 
     def store_period(
@@ -442,7 +437,6 @@ class AnalysisCache:
         """Record a confirmed steady-state period for future runs."""
         if key is None:
             return
-        self.holds_periods = True
         self._store(
             key,
             "period",

@@ -648,11 +648,12 @@ class SpiSystem:
             and not self.steady_state_opaque_actors()
         ):
             # one iteration short of the unhinted minimum only a cached
-            # period can warp; a cache that holds none is not asked
-            unhinted = iterations >= min_warp_iterations(hinted=False)
-            if unhinted or getattr(self._analysis_cache, "holds_periods", False):
-                hint = self._period_hint()
-            arm_steady = unhinted or hint is not None
+            # period can warp
+            hint = self._period_hint()
+            arm_steady = (
+                iterations >= min_warp_iterations(hinted=False)
+                or hint is not None
+            )
         hub = None
         if metrics:
             from repro.observability import ObservabilityHub
@@ -1397,7 +1398,7 @@ class SpiSystem:
         """
         if self._pass_program is None:
             self._pass_program = PassProgram(
-                self.insertion.graph, self.schedule.pass_firings or None
+                self.insertion.graph, self.schedule.pass_firings
             )
         return self._pass_program
 

@@ -204,3 +204,32 @@ def test_lpc_frames_of_different_sizes():
         runs["auto"].iteration_period_cycles
         == runs["off"].iteration_period_cycles
     )
+
+
+def test_oracle_runs_are_fully_simulated(monkeypatch):
+    """The differential oracle compares SPI token streams against the
+    PASS reference interpreter; a warped run would produce its skipped
+    iterations with that same PASS loop.  So oracle runs never warp,
+    even at iteration counts where the default run does."""
+    from repro.conformance import run_oracle_stack
+    from repro.platform.steady_state import min_warp_iterations
+
+    iterations = min_warp_iterations(hinted=False) + 1
+    seed = 0
+    assert _run(seed, "auto")[0].extrapolated_iterations > 0
+
+    results = []
+    original = SpiSystem.run
+
+    def recording_run(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(SpiSystem, "run", recording_run)
+    report = run_oracle_stack(
+        build_case(generate_spec(seed, SHAPE)), iterations=iterations
+    )
+    assert report.ok, report.violations
+    assert results
+    assert all(r.extrapolated_iterations == 0 for r in results)

@@ -130,11 +130,11 @@ def test_auto_arms_from_the_confirmation_minimum():
 
 def test_period_hint_lowers_the_minimum_by_one():
     """With a cached period one recurrence confirms, so 4 iterations
-    can warp.  A cache that holds no period is not even asked at 4."""
+    can warp; without one they cannot."""
     minimum = min_warp_iterations(hinted=True)
     fresh = AnalysisCache()
     assert _system(0, cache=fresh).run(iterations=minimum).steady_state is None
-    assert fresh.misses["period"] == 0
+    assert fresh.misses["period"] == 1
 
     cache = AnalysisCache()
     _system(0, cache=cache).run(iterations=ITERATIONS)  # stores the hint
@@ -144,6 +144,20 @@ def test_period_hint_lowers_the_minimum_by_one():
     at_minimum = system.run(iterations=minimum)
     assert at_minimum.steady_state.hint_used
     assert at_minimum.extrapolated_iterations > 0
+
+
+def test_period_hint_from_another_disk_cache_instance(tmp_path):
+    """Shard processes share periods through the cache directory: a
+    fresh instance over a directory another instance populated serves
+    the hint, so its 4-iteration run warps."""
+    _system(0, cache=AnalysisCache(tmp_path)).run(iterations=ITERATIONS)
+    shard = AnalysisCache(tmp_path)
+    result = _system(0, cache=shard).run(
+        iterations=min_warp_iterations(hinted=True)
+    )
+    assert result.steady_state.hint_used
+    assert result.extrapolated_iterations > 0
+    assert shard.hits["period"] == 1
 
 
 @pytest.mark.parametrize("seed", range(8))
