@@ -18,7 +18,7 @@ committed full-mode baseline.  Every repeat times the host reference
 loop (``conftest.reference_seconds``) right before the cold compiles;
 ``normalized_seconds`` — the median over repeats of the compile wall
 divided by that reference wall — is the host-normalized cold-analysis
-time ``check_analysis_regression.py`` gates on.
+time ``check_regression.py`` gates on.
 
 ``BENCH_analysis.json`` records per-case and per-stage wall clocks;
 ``analysis_stages.csv`` is the per-stage artifact CI uploads.

@@ -20,7 +20,7 @@ the same in quick and full mode, and its runs/s is host-normalized by
 the reference loop (``conftest.reference_seconds``) timed around it.
 
 ``BENCH_campaign.json`` records the rates, the service-vs-serial ratio,
-and the cache hit/miss counters; ``check_campaign_regression.py`` gates
+and the cache hit/miss counters; ``check_regression.py`` gates
 CI on the throughput floor, the >= 0.9 hit rate, and the normalized
 cold-miss rate against the committed baseline.
 """
@@ -216,7 +216,7 @@ def test_campaign_all_units_complete(campaign):
 
 def test_campaign_throughput_beats_serial(campaign):
     """Loose in-test floor; the committed-baseline gate in
-    check_campaign_regression.py is the strict one (3x full mode)."""
+    check_regression.py is the strict one (3x full mode)."""
     floor = 1.2 if QUICK else 2.0
     assert campaign["speedup"] >= floor, (
         f"campaign speedup {campaign['speedup']:.2f}x below {floor}x"

@@ -27,8 +27,8 @@ stay within noise of off.  Both modes fire every actor kernel (a warped
 run fires the skipped iterations in PASS order after the simulation),
 so the sweep also times ``Actor.fire`` by wrapping it here, and
 ``simulation_speedup`` compares the wall time spent outside the
-kernels — the part the warp removes.  ``check_kernel_regression.py``
-gates both.
+kernels — the part the warp removes.  ``check_regression.py`` gates
+both.
 
 Each workload also records ``reference_seconds``, the median wall of
 the fixed pure-python event loop in ``conftest.reference_seconds``
@@ -56,8 +56,10 @@ ITERATIONS = 40 if QUICK else 200
 WIDE_PAIRS = 16 if QUICK else 32
 DEEP_STAGES = 16 if QUICK else 32
 CONTENDED_CONSUMERS = 24 if QUICK else 48
-#: wall-clock repeats per measurement (best-of, to shed scheduler noise)
-REPEATS = 2 if QUICK else 3
+#: steady-state repeats per mode (best-of, to shed scheduler noise); each
+#: repeat runs off and auto back to back
+STEADY_REPEATS = 3 if QUICK else 7
+STEADY_MODES = ("off", "auto")
 #: kernel workload repeats: best-of for raw walls, median of the
 #: reference-normalized ratios (more repeats — each is a few ms)
 KERNEL_REPEATS = 7
@@ -310,32 +312,38 @@ def _timed_actor_fire():
         Actor.fire = original
 
 
-def _steady_measure(build_system, steady_state: str):
-    """Best-of-REPEATS timings for one steady-state mode.
+def _steady_measure(build_system) -> dict:
+    """Best-of-STEADY_REPEATS timings of steady-state off and auto.
 
-    Returns the best wall, the best wall outside ``Actor.fire`` with the
-    kernel time of that repeat, and the best-wall run.  A fresh system
-    is compiled for every run: the application kernels are stateful
-    (RNG, collectors), so reusing one would change the simulated work
-    between repeats.
+    The two modes alternate within every repeat, in swapped order on odd
+    repeats, so a slow stretch of the host lands on both sides of the
+    off/auto ratios the gate checks.  Returns, per mode, the best wall,
+    the best wall outside ``Actor.fire`` with the kernel time of that
+    repeat, and the best-wall run.  A fresh system is compiled for every
+    run: the application kernels are stateful (RNG, collectors), so
+    reusing one would change the simulated work between repeats.
     """
-    best_wall = best_run = None
-    best_simulation = best_fire = None
-    for _ in range(REPEATS):
-        system = build_system()
-        with _timed_actor_fire() as fire:
-            start = time.perf_counter()
-            run = system.run(
-                iterations=STEADY_ITERATIONS, steady_state=steady_state
-            )
-            wall = time.perf_counter() - start
-        if best_wall is None or wall < best_wall:
-            best_wall = wall
-            best_run = run
-        if best_simulation is None or wall - fire[0] < best_simulation:
-            best_simulation = wall - fire[0]
-            best_fire = fire[0]
-    return best_wall, best_simulation, best_fire, best_run
+    walls = {mode: (float("inf"), None) for mode in STEADY_MODES}
+    simulations = {mode: (float("inf"), None) for mode in STEADY_MODES}
+    for repeat in range(STEADY_REPEATS):
+        order = STEADY_MODES if repeat % 2 == 0 else STEADY_MODES[::-1]
+        for mode in order:
+            system = build_system()
+            gc.collect()
+            with _timed_actor_fire() as fire:
+                start = time.perf_counter()
+                run = system.run(
+                    iterations=STEADY_ITERATIONS, steady_state=mode
+                )
+                wall = time.perf_counter() - start
+            if wall < walls[mode][0]:
+                walls[mode] = (wall, run)
+            if wall - fire[0] < simulations[mode][0]:
+                simulations[mode] = (wall - fire[0], fire[0])
+    return {
+        mode: (walls[mode][0], *simulations[mode], walls[mode][1])
+        for mode in STEADY_MODES
+    }
 
 
 @pytest.fixture(scope="module")
@@ -343,12 +351,9 @@ def steady_sweep():
     """fig6/fig7 at STEADY_ITERATIONS, steady-state off vs auto."""
     sweep = {}
     for fig, build_system in (("fig6", _fig6_system), ("fig7", _fig7_system)):
-        wall_off, sim_off, fire_off, run_off = _steady_measure(
-            build_system, "off"
-        )
-        wall_auto, sim_auto, fire_auto, run_auto = _steady_measure(
-            build_system, "auto"
-        )
+        measured = _steady_measure(build_system)
+        wall_off, sim_off, fire_off, run_off = measured["off"]
+        wall_auto, sim_auto, fire_auto, run_auto = measured["auto"]
         # one instrumented off run counts the kernel events the auto
         # run gets to skip — the "effective events/sec" numerator
         events_off = build_system().run(
@@ -430,7 +435,7 @@ def test_steady_state_arms_only_when_declared(steady_sweep):
 
 def test_steady_state_speedup(steady_sweep):
     """In-test floor on the wall time outside the host kernels, looser
-    than the committed-baseline gate in check_kernel_regression.py so a
+    than the committed-baseline gate in check_regression.py so a
     noisy CI runner cannot flake it."""
     assert steady_sweep["fig6"]["simulation_speedup"] >= 2.0
 

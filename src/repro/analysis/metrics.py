@@ -27,13 +27,6 @@ class SweepPoint:
     n_pes: int
     result: RunResult
 
-    @property
-    def per_iteration_us(self) -> float:
-        return self.result.iteration_period_cycles and (
-            self.result.iteration_period_cycles
-            / (self.result.cycles / self.result.execution_time_us)
-        )
-
 
 def steady_state_us(result: RunResult, clock_mhz: float = 100.0) -> float:
     """Steady-state per-iteration time in microseconds."""

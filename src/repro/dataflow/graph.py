@@ -325,12 +325,6 @@ class Edge:
             return self.prod_rate_override
         return self.source.max_rate
 
-    @property
-    def max_cons_rate(self) -> int:
-        if self.cons_rate_override is not None:
-            return self.cons_rate_override
-        return self.sink.max_rate
-
     def set_initial_tokens(self, values: list) -> None:
         """Provide concrete values for the initial (delay) tokens."""
         if len(values) != self.delay:
@@ -492,20 +486,6 @@ class Connection:
     @property
     def fan_out(self) -> int:
         return len(self.edges)
-
-    @property
-    def source_ports(self) -> Tuple[Port, ...]:
-        seen: Dict[int, Port] = {}
-        for edge in self.edges:
-            seen.setdefault(id(edge.source), edge.source)
-        return tuple(seen.values())
-
-    @property
-    def sink_ports(self) -> Tuple[Port, ...]:
-        seen: Dict[int, Port] = {}
-        for edge in self.edges:
-            seen.setdefault(id(edge.sink), edge.sink)
-        return tuple(seen.values())
 
     def branch_span(self, branch_index: int) -> Tuple[int, int]:
         """(start, stop) slice of the produced tokens for a scatter branch."""

@@ -132,9 +132,6 @@ class TimedGraph:
                 f"graph {self.name!r} has no task {name!r}"
             ) from None
 
-    def has_vertex(self, name: str) -> bool:
-        return name in self._vertices
-
     def out_edges(self, name: str) -> List[TimedEdge]:
         return [e for e in self._edges if e.src == name]
 

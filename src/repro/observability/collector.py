@@ -82,6 +82,3 @@ class ObservabilityHub:
         registry.histogram("link.queueing_cycles", channel=channel).observe(
             record.queueing_cycles
         )
-
-    def messages_of(self, channel: str) -> List[MessageRecord]:
-        return [m for m in self.messages if m.channel == channel]

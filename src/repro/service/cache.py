@@ -486,12 +486,3 @@ class AnalysisCache:
             },
         }
 
-    def counters_into(self, registry) -> None:
-        """Flush the hit/miss counts into a ``MetricsRegistry``."""
-        for kind in self.KINDS:
-            registry.counter("service.cache.hits", kind=kind).inc(
-                self.hits[kind]
-            )
-            registry.counter("service.cache.misses", kind=kind).inc(
-                self.misses[kind]
-            )

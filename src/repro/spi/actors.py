@@ -398,10 +398,7 @@ class SpiSendTask(_BatchedTaskMixin):
         actor: Actor,
         channel: SpiChannel,
         in_fifo: LocalFifo,
-        sim: Simulator,
-        interconnect: Interconnect,
-        transport=None,
-        observer=None,
+        transport,
         batch_counts: Optional[Sequence[int]] = None,
         pe_class: PEClass = GPP,
         pe: Optional[ProcessingElement] = None,
@@ -410,10 +407,7 @@ class SpiSendTask(_BatchedTaskMixin):
         self.name = f"{actor.name}"
         self.channel = channel
         self.in_fifo = in_fifo
-        self.sim = sim
-        self.interconnect = interconnect
         self.transport = transport
-        self.observer = observer
         self.rate = actor.port("in").rate
         self.firing_index = 0
         self._init_batch(batch_counts, pe_class, pe)
@@ -483,35 +477,14 @@ class SpiSendTask(_BatchedTaskMixin):
             payload_bytes=nbytes,
             dynamic=self.channel.dynamic,
         )
-        deliver = partial(self.channel.deliver, message)
-        if self.transport is not None:
-            self.transport.send(
-                channel_key=self.channel.edge.name,
-                src_pe=self.channel.src_pe,
-                dst_pe=self.channel.dst_pe,
-                nbytes=message.wire_bytes,
-                now=now,
-                deliver=deliver,
-            )
-        else:
-            link = self.interconnect.link(
-                self.channel.src_pe, self.channel.dst_pe
-            )
-            start, arrival = link.reserve(now, message.wire_bytes)
-            if self.observer is not None:
-                self.observer.message(
-                    channel=self.channel.edge.name,
-                    kind="data",
-                    src_pe=self.channel.src_pe,
-                    dst_pe=self.channel.dst_pe,
-                    nbytes=message.wire_bytes,
-                    requested=now,
-                    started=start,
-                    arrived=arrival,
-                )
-            self.sim.schedule_delivery(
-                arrival, deliver, ("data", self.channel.edge.name)
-            )
+        self.transport.send(
+            channel_key=self.channel.edge.name,
+            src_pe=self.channel.src_pe,
+            dst_pe=self.channel.dst_pe,
+            nbytes=message.wire_bytes,
+            now=now,
+            deliver=partial(self.channel.deliver, message),
+        )
 
 
 class SpiCollectiveSendTask(_BatchedTaskMixin):
@@ -535,10 +508,7 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
         branches: List[tuple],
         local_branches: List[LocalFifo],
         in_fifo: LocalFifo,
-        sim: Simulator,
-        interconnect: Interconnect,
-        transport=None,
-        observer=None,
+        transport,
         group_key: Optional[str] = None,
         batch_counts: Optional[Sequence[int]] = None,
         pe_class: PEClass = GPP,
@@ -554,10 +524,7 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
             local_branches, key=lambda fifo: fifo.edge.branch_index
         )
         self.in_fifo = in_fifo
-        self.sim = sim
-        self.interconnect = interconnect
         self.transport = transport
-        self.observer = observer
         self.rate = actor.port("in").rate
         self.group_key = group_key or actor.name
         connections = {
@@ -663,35 +630,13 @@ class SpiCollectiveSendTask(_BatchedTaskMixin):
                     partial(channel.deliver, message),
                 )
             )
-        if self.transport is not None:
-            self.transport.send_collective(
-                group_key=self.group_key,
-                src_pe=self.branches[0][1].src_pe,
-                parts=parts,
-                now=now,
-                shared_payload=self.shared_payload,
-            )
-            return
-        # legacy link path: per-branch independent transfers
-        for (channel_key, dst_pe, nbytes, deliver), (_, channel) in zip(
-            parts, self.branches
-        ):
-            link = self.interconnect.link(channel.src_pe, dst_pe)
-            start, arrival = link.reserve(now, nbytes)
-            if self.observer is not None:
-                self.observer.message(
-                    channel=channel_key,
-                    kind="data",
-                    src_pe=channel.src_pe,
-                    dst_pe=dst_pe,
-                    nbytes=nbytes,
-                    requested=now,
-                    started=start,
-                    arrived=arrival,
-                )
-            self.sim.schedule_delivery(
-                arrival, deliver, ("data", channel_key)
-            )
+        self.transport.send_collective(
+            group_key=self.group_key,
+            src_pe=self.branches[0][1].src_pe,
+            parts=parts,
+            now=now,
+            shared_payload=self.shared_payload,
+        )
 
 
 class SyncTokenPool:

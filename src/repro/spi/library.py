@@ -104,10 +104,6 @@ class SpiInsertion:
         default_factory=dict
     )
 
-    @property
-    def ipc_edges(self) -> List[Edge]:
-        return [entry[0] for entry in self.channels.values()]
-
     def spi_actor_names(self) -> List[str]:
         names: List[str] = []
         for _, pair, _ in self.channels.values():

@@ -761,10 +761,7 @@ class SpiSystem:
                     branches,
                     local_branches,
                     fifos[in_edge.edge_id],
-                    sim,
-                    interconnect,
-                    transport=transport,
-                    observer=hub,
+                    transport,
                     group_key=f"{group.name}.collective",
                     **batch_kwargs,
                 )
@@ -775,10 +772,7 @@ class SpiSystem:
                     actor,
                     channels[plan.origin_edge_name],
                     fifos[in_edge.edge_id],
-                    sim,
-                    interconnect,
-                    transport=transport,
-                    observer=hub,
+                    transport,
                     **batch_kwargs,
                 )
             elif actor.name in recv_plans:
